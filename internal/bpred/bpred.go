@@ -7,7 +7,10 @@
 // counter for the power model.
 package bpred
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes the predictor tables. All sizes must be powers of two.
 type Config struct {
@@ -93,6 +96,16 @@ func New(cfg Config) (*Predictor, error) {
 		p.chooser[i] = 1 // weakly prefer local, as the 21264 does on reset
 	}
 	return p, nil
+}
+
+// Clone returns an independent copy: the same tables, history and
+// counters.
+func (p *Predictor) Clone() *Predictor {
+	cp := *p
+	cp.local = slices.Clone(p.local)
+	cp.global = slices.Clone(p.global)
+	cp.chooser = slices.Clone(p.chooser)
+	return &cp
 }
 
 func taken(c uint8) bool { return c >= 2 }

@@ -5,7 +5,10 @@
 // hits/misses and report access latency; data contents are not simulated.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes one cache.
 type Config struct {
@@ -36,16 +39,18 @@ func (c Config) validate(name string) error {
 	return nil
 }
 
+// line is one way. lastUse == 0 marks an invalid way: the LRU clock is
+// incremented before every access, so a filled way never reads 0.
 type line struct {
 	tag     uint64
-	valid   bool
 	lastUse uint64
 }
 
 // Cache is one level of set-associative cache with true LRU replacement.
 type Cache struct {
 	cfg      Config
-	sets     [][]line
+	lines    []line // set-major: set s is lines[s*ways : (s+1)*ways]
+	ways     uint64
 	setMask  uint64
 	lineBits uint
 	tick     uint64
@@ -60,18 +65,14 @@ func New(name string, cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nSets := cfg.SizeBytes / cfg.LineBytes / cfg.Ways
-	sets := make([][]line, nSets)
-	backing := make([]line, nSets*cfg.Ways)
-	for i := range sets {
-		sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
-	}
 	lb := uint(0)
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		lines:    make([]line, nSets*cfg.Ways),
+		ways:     uint64(cfg.Ways),
 		setMask:  uint64(nSets - 1),
 		lineBits: lb,
 	}, nil
@@ -80,16 +81,25 @@ func New(name string, cfg Config) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Clone returns an independent copy: the same ways, LRU clock and
+// counters.
+func (c *Cache) Clone() *Cache {
+	cp := *c
+	cp.lines = slices.Clone(c.lines)
+	return &cp
+}
+
 // Access looks up addr, updates LRU state, allocates on miss, and reports
 // whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	c.accesses++
 	blk := addr >> c.lineBits
-	set := c.sets[blk&c.setMask]
+	base := (blk & c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
 	tag := blk >> 0 // full block address as tag keeps aliasing impossible
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+		if set[i].lastUse != 0 && set[i].tag == tag {
 			set[i].lastUse = c.tick
 			return true
 		}
@@ -98,7 +108,7 @@ func (c *Cache) Access(addr uint64) bool {
 	// Allocate into the invalid or least-recently-used way.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if set[i].lastUse == 0 {
 			victim = i
 			break
 		}
@@ -106,7 +116,7 @@ func (c *Cache) Access(addr uint64) bool {
 			victim = i
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, lastUse: c.tick}
+	set[victim] = line{tag: tag, lastUse: c.tick}
 	return false
 }
 
@@ -193,6 +203,11 @@ func (h *Hierarchy) access(l1 *Cache, addr uint64) AccessResult {
 		return AccessResult{Latency: l1.cfg.Latency + h.L2.cfg.Latency, L2Hit: true}
 	}
 	return AccessResult{Latency: l1.cfg.Latency + h.L2.cfg.Latency + h.memLatency}
+}
+
+// Clone returns an independent copy of the hierarchy.
+func (h *Hierarchy) Clone() *Hierarchy {
+	return &Hierarchy{L1I: h.L1I.Clone(), L1D: h.L1D.Clone(), L2: h.L2.Clone(), memLatency: h.memLatency}
 }
 
 // ResetCounters clears statistics across all levels.

@@ -215,8 +215,8 @@ type Result struct {
 // Violated reports whether the run ever exceeded the emergency threshold.
 func (r Result) Violated() bool { return r.EmergencyTime > 0 }
 
-// Simulator is a one-shot coupled simulation: construct with New, call Run
-// once.
+// Simulator is a one-shot coupled simulation: construct with New (or fork
+// one from a Warm with NewFromWarm), call Run once.
 type Simulator struct {
 	cfg    Config
 	fp     *floorplan.Floorplan
@@ -228,7 +228,8 @@ type Simulator struct {
 	policy dtm.Policy
 	prof   trace.Profile
 
-	ran bool
+	warm *Warm // the forked start state; nil means Run warms the core itself
+	ran  bool
 }
 
 // New assembles a simulator for one benchmark profile under one policy.
@@ -237,13 +238,6 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
-	if policy == nil {
-		policy = dtm.None()
-	}
-	fp := floorplan.EV6()
 	gen, err := trace.NewGenerator(prof)
 	if err != nil {
 		return nil, err
@@ -252,6 +246,16 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 	if err != nil {
 		return nil, err
 	}
+	return assemble(cfg, prof, policy, c, nil)
+}
+
+// assemble builds the policy-dependent rest of a simulator around a core:
+// the power, thermal and sensor models and the DVS ladder are always fresh.
+func assemble(cfg Config, prof trace.Profile, policy dtm.Policy, c *cpu.Core, w *Warm) (*Simulator, error) {
+	if policy == nil {
+		policy = dtm.None()
+	}
+	fp := floorplan.EV6()
 	pm, err := power.NewModel(fp, cfg.Tech, cfg.Specs, cfg.Leakage)
 	if err != nil {
 		return nil, err
@@ -264,12 +268,9 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 	if err != nil {
 		return nil, err
 	}
-	ladder := cfg.Ladder
-	if ladder == nil {
-		ladder, err = dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-		if err != nil {
-			return nil, err
-		}
+	ladder, err := cfg.ladder()
+	if err != nil {
+		return nil, err
 	}
 	return &Simulator{
 		cfg:    cfg,
@@ -281,7 +282,16 @@ func New(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simulator, error) 
 		ladder: ladder,
 		policy: policy,
 		prof:   prof,
+		warm:   w,
 	}, nil
+}
+
+// ladder returns the configured DVS ladder, or the binary one at VMinFrac.
+func (c Config) ladder() (*dvfs.Ladder, error) {
+	if c.Ladder != nil {
+		return c.Ladder, nil
+	}
+	return dvfs.Binary(c.Tech, c.VMinFrac)
 }
 
 // Floorplan returns the floorplan in use.
@@ -297,15 +307,6 @@ func (s *Simulator) Core() *cpu.Core { return s.core }
 // (see sensor.Bank.SetStuck).
 func (s *Simulator) Sensors() *sensor.Bank { return s.bank }
 
-// initSteadyState mirrors the paper's §3 startup: caches and predictor are
-// first warmed in full detail (WarmupCycles), then InitCycles of warmed
-// execution measure the workload's activity, and the thermal model is set
-// to the corresponding power/temperature fixed point (leakage depends on
-// temperature, so the steady state is solved iteratively).
-//
-// For runs with an active DTM policy the initial state is additionally
-// clamped so no block starts above the trigger: a chip whose DTM has been
-// running would have been held there, never at the unmanaged steady state.
 // mrHeadroom reports whether every expected sensor reading — true block
 // temperature plus the sensor's fixed offset — sits at or below limit, i.e.
 // the chip is far enough below Trigger that a fused multi-rate interval
@@ -319,71 +320,83 @@ func (s *Simulator) mrHeadroom(temps []float64, limit float64) bool {
 	return true
 }
 
-func (s *Simulator) initSteadyState(ctx context.Context) error {
+// start brings the simulator to the state its run begins from: the warm
+// step (unless the simulator was forked from a Warm), then the apply step.
+func (s *Simulator) start(ctx context.Context) error {
+	w := s.warm
+	if w == nil {
+		var err error
+		if w, err = s.warmUp(ctx); err != nil {
+			return err
+		}
+	}
+	return s.apply(w)
+}
+
+// warmUp is the warm step, mirroring the paper's §3 startup: caches and
+// predictor are first warmed in full detail (WarmupCycles), then
+// InitCycles of warmed execution measure the workload's activity, and the
+// power/temperature fixed point for that activity is solved (leakage
+// depends on temperature, so the steady state is solved iteratively). It
+// advances the core and uses the thermal model as a solver only; the
+// sensor bank is read for its fixed offsets, never sampled.
+func (s *Simulator) warmUp(ctx context.Context) (*Warm, error) {
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	if _, err := s.core.Run(s.cfg.WarmupCycles, 0, nil); err != nil {
-		return err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	var act cpu.Activity
 	if _, err := s.core.Run(s.cfg.InitCycles, 0, &act); err != nil {
-		return err
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return nil, err
 	}
 	activity, err := act.BlockActivity(s.fp, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	nom := s.ladder.Nominal()
 	n := s.fp.NumBlocks()
-	scaled := make([]float64, n)
 	temps := make([]float64, n)
-
-	// solve computes the power/temperature fixed point with the
-	// activity-dependent dynamic power scaled by alpha (leakage depends on
-	// temperature, hence the iteration) and returns the hottest expected
-	// sensor reading (true temperature plus fixed offset).
+	for i := range temps {
+		temps[i] = 60 // starting guess for the fixed point
+	}
 	var p []float64
-	solve := func(alpha float64) (float64, error) {
-		for i := range scaled {
-			scaled[i] = activity[i] * alpha
+	for iter := 0; iter < 12; iter++ {
+		if p, err = s.pm.Compute(p, activity, 1, nom.V, nom.F, temps); err != nil {
+			return nil, err
 		}
-		for i := range temps {
-			temps[i] = 60 // starting guess for the fixed point
+		if err := s.tm.SteadyStateInto(temps, p); err != nil {
+			return nil, err
 		}
-		for iter := 0; iter < 12; iter++ {
-			var err error
-			p, err = s.pm.Compute(p, scaled, 1, nom.V, nom.F, temps)
-			if err != nil {
-				return 0, err
-			}
-			if err := s.tm.SteadyStateInto(temps, p); err != nil {
-				return 0, err
-			}
-		}
-		maxR := temps[0] + s.bank.Offset(0)
-		for i := 1; i < n; i++ {
-			if r := temps[i] + s.bank.Offset(i); r > maxR {
-				maxR = r
-			}
-		}
-		return maxR, nil
 	}
+	// The hottest expected sensor reading: true temperature plus the
+	// sensor's fixed offset.
+	reading := temps[0] + s.bank.Offset(0)
+	for i := 1; i < n; i++ {
+		if r := temps[i] + s.bank.Offset(i); r > reading {
+			reading = r
+		}
+	}
+	return &Warm{core: s.core, power: p, reading: reading}, nil
+}
 
-	reading, err := solve(1)
-	if err != nil {
+// apply is the policy-dependent step: the thermal model starts at the
+// warm state's steady state, and for runs with an active DTM policy the
+// die is additionally clamped so no block starts above the trigger — a
+// chip whose DTM has been running would have been held there, never at
+// the unmanaged steady state.
+func (s *Simulator) apply(w *Warm) error {
+	if err := s.tm.Init(w.power); err != nil {
 		return err
 	}
-	if err := s.tm.Init(p); err != nil {
-		return err
-	}
-	if !dtm.IsNone(s.policy) && reading > s.cfg.Trigger {
+	if !dtm.IsNone(s.policy) && w.reading > s.cfg.Trigger {
 		// The package (spreader, sink) sits at the workload's unmanaged
 		// steady state — it is quasi-static over simulated intervals and a
 		// hot application keeps it hot whether or not DTM throttles the
@@ -391,7 +404,7 @@ func (s *Simulator) initSteadyState(ctx context.Context) error {
 		// changes little"). The silicon, however, responds in milliseconds
 		// and a chip under DTM would be held at the trigger, so the die
 		// nodes start shifted down to the DTM-held level.
-		s.tm.ShiftBlocks(s.cfg.Trigger - reading)
+		s.tm.ShiftBlocks(s.cfg.Trigger - w.reading)
 	}
 	return nil
 }
@@ -417,7 +430,7 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 		return Result{}, errors.New("core: Simulator.Run called twice; build a fresh Simulator per run")
 	}
 	s.ran = true
-	if err := s.initSteadyState(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
+	if err := s.start(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
 		return Result{}, err
 	}
 

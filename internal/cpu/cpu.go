@@ -27,6 +27,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"hybriddtm/internal/bpred"
 	"hybriddtm/internal/cache"
@@ -357,6 +358,56 @@ func New(cfg Config, gen trace.Source) (*Core, error) {
 		qc.q.minReady = unknownReady
 	}
 	return c, nil
+}
+
+// Clone returns an independent copy of the core in its current state: the
+// ROB and fetch-queue rings, issue queues (with their capacities, so the
+// copy stays allocation-free), MSHRs, predictor tables, cache ways and the
+// trace cursor. Running either core leaves the other unchanged. Only a
+// synthetic trace.Generator can be copied; a core fed by another source
+// (a recorded trace.Reader) returns an error.
+func (c *Core) Clone() (*Core, error) {
+	gen, ok := c.gen.(*trace.Generator)
+	if !ok {
+		return nil, fmt.Errorf("cpu: cannot clone a core fed by %T", c.gen)
+	}
+	cp := *c
+	cp.gen = gen.Clone()
+	cp.bp = c.bp.Clone()
+	cp.mem = c.mem.Clone()
+
+	cp.robClass = slices.Clone(c.robClass)
+	cp.robDst = slices.Clone(c.robDst)
+	cp.robDep1 = slices.Clone(c.robDep1)
+	cp.robDep2 = slices.Clone(c.robDep2)
+	cp.robAddr = slices.Clone(c.robAddr)
+	cp.robIssued = slices.Clone(c.robIssued)
+	cp.robDoneAt = slices.Clone(c.robDoneAt)
+	cp.robMispred = slices.Clone(c.robMispred)
+	cp.robSeq = slices.Clone(c.robSeq)
+	cp.robReadyAt = slices.Clone(c.robReadyAt)
+	cp.robMissing = slices.Clone(c.robMissing)
+	cp.wakeHead = slices.Clone(c.wakeHead)
+	cp.wakeNext = slices.Clone(c.wakeNext)
+
+	cp.ifqClass = slices.Clone(c.ifqClass)
+	cp.ifqDst = slices.Clone(c.ifqDst)
+	cp.ifqSrc1 = slices.Clone(c.ifqSrc1)
+	cp.ifqSrc2 = slices.Clone(c.ifqSrc2)
+	cp.ifqAddr = slices.Clone(c.ifqAddr)
+	cp.ifqMispred = slices.Clone(c.ifqMispred)
+
+	for _, q := range [...]*issueQueue{&cp.intQ, &cp.fpQ, &cp.memQ} {
+		q.ready = withCap(q.ready)
+		q.pending = withCap(q.pending)
+	}
+	cp.mshr = withCap(c.mshr)
+	return &cp, nil
+}
+
+// withCap copies s into a fresh slice of the same length and capacity.
+func withCap(s []uint64) []uint64 {
+	return append(make([]uint64, 0, cap(s)), s...)
 }
 
 // Config returns the core's configuration.

@@ -165,7 +165,8 @@ func HybPolicy(cfg core.Config, stall bool) PolicyFactory {
 // no-DTM run of each benchmark is shared by every slowdown measurement.
 // A Runner is safe for concurrent use; the baseline cache is singleflight
 // (concurrent requests for the same benchmark trigger exactly one
-// simulation, everyone else waits for it).
+// simulation, everyone else waits for it). Within one RunJobs batch the
+// runs of a benchmark also share its warm state (see warm.go).
 type Runner struct {
 	opts    Options
 	workers int
@@ -174,6 +175,7 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry
+	warm      map[string]*warmEntry // by core.WarmKey; only while a batch holds refs
 }
 
 // baselineEntry is one in-flight or completed baseline computation. done is
@@ -213,6 +215,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		log:       logger,
 		metrics:   opts.Metrics,
 		baselines: make(map[string]*baselineEntry),
+		warm:      make(map[string]*warmEntry),
 	}, nil
 }
 
@@ -232,6 +235,12 @@ func (r *Runner) Baseline(prof trace.Profile) (core.Result, error) {
 // not cached, so a later call with a live context recomputes it; any other
 // error is cached (it is deterministic and would simply recur).
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
+	return r.baseline(ctx, prof, nil)
+}
+
+// baseline is BaselineContext forking from the batch's warm state when b
+// is non-nil and the simulation is not already cached or in flight.
+func (r *Runner) baseline(ctx context.Context, prof trace.Profile, b *warmBatch) (core.Result, error) {
 	for {
 		r.mu.Lock()
 		e, ok := r.baselines[prof.Name]
@@ -239,7 +248,7 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 			e = &baselineEntry{done: make(chan struct{})}
 			r.baselines[prof.Name] = e
 			r.mu.Unlock()
-			e.res, e.err = r.measureBaseline(ctx, prof)
+			e.res, e.err = r.measureBaseline(ctx, prof, b)
 			if e.err != nil && errors.Is(e.err, ctx.Err()) {
 				r.mu.Lock()
 				delete(r.baselines, prof.Name)
@@ -263,9 +272,9 @@ func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.
 }
 
 // measureBaseline runs the uncached no-DTM simulation.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
+func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, b *warmBatch) (core.Result, error) {
 	cfg := r.instrument(r.opts.Config)
-	sim, err := core.New(cfg, prof, nil)
+	sim, err := r.newSim(ctx, b, cfg, prof, nil)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -310,7 +319,7 @@ func (r *Runner) Run(prof trace.Profile, factory PolicyFactory) (Measurement, er
 // still taken from the runner's base config, which is what the paper
 // normalizes against).
 func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory PolicyFactory) (Measurement, error) {
-	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory})
+	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory}, nil)
 }
 
 // RunJobContext executes one job on the calling goroutine, sharing the
@@ -318,28 +327,31 @@ func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory Poli
 // other caller. It is the entry point for drivers that manage their own
 // concurrency (the dtmserve worker pool); batch drivers use RunJobs.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
-	return r.runJob(ctx, job)
+	return r.runJob(ctx, job, nil)
 }
 
-// runJob executes one simulation job: resolve the baseline (shared via the
-// singleflight cache), build a fresh policy, run, and normalize. Job
+// runJob executes one simulation job: build a fresh policy, run (forked
+// from the batch's warm state when b is non-nil), then resolve the
+// baseline (shared via the singleflight cache) and normalize. The policy
+// runs first because only the normalization needs the baseline: a worker
+// that waited for it up front would idle while a sibling computes it. Job
 // wall-clock latency feeds the pool.job_s histogram when a registry is
 // attached — latency is host time, so it never influences Measurements.
-func (r *Runner) runJob(ctx context.Context, job Job) (Measurement, error) {
+func (r *Runner) runJob(ctx context.Context, job Job, b *warmBatch) (Measurement, error) {
 	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
-	base, err := r.BaselineContext(ctx, job.Profile)
-	if err != nil {
-		return Measurement{}, err
-	}
 	pol, err := job.Factory.New()
 	if err != nil {
 		return Measurement{}, err
 	}
-	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
+	sim, err := r.newSim(ctx, b, r.instrument(job.Config), job.Profile, pol)
 	if err != nil {
 		return Measurement{}, err
 	}
 	res, err := sim.RunContext(ctx, r.opts.Instructions)
+	if err != nil {
+		return Measurement{}, err
+	}
+	base, err := r.BaselineContext(ctx, job.Profile)
 	if err != nil {
 		return Measurement{}, err
 	}

@@ -48,8 +48,8 @@ type Fig3aResult struct {
 }
 
 // Fig3a regenerates Figure 3a. The whole duty × benchmark grid is submitted
-// to the worker pool at once (benchmark varies fastest, so the baseline
-// cache fans out across distinct benchmarks immediately).
+// to the worker pool as one batch; RunJobs groups each benchmark's runs so
+// they share one warm state.
 func Fig3a(ctx context.Context, r *Runner, stall bool) (Fig3aResult, error) {
 	cfg := r.opts.Config
 	cfg.DVSStall = stall

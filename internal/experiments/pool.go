@@ -29,23 +29,35 @@ type Job struct {
 // RunJobs executes the jobs on the runner's worker pool and returns their
 // measurements in submission order. The first error cancels all outstanding
 // work and is returned; measurements of already-finished jobs are
-// discarded. Submitting jobs so that distinct benchmarks come first (e.g.
-// benchmark-major grids) lets the baseline singleflight cache fan out
-// instead of serializing the pool's start-up.
+// discarded. RunJobs decides the dispatch order itself: the runs that share
+// a warm state — a benchmark's uncached baseline first, then its jobs — are
+// dispatched together (see plan), so a warm state is built once per batch
+// and dropped as soon as its last run has forked it.
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, error) {
+	tasks, counts, err := r.plan(jobs)
+	if err != nil {
+		return nil, err
+	}
+	b := r.claimWarm(counts)
+	defer r.releaseWarm(b)
 	out := make([]Measurement, len(jobs))
 	prog := r.newProgress(len(jobs))
-	err := forEach(ctx, r.workers, len(jobs), func(ctx context.Context, i int) error {
+	err = forEach(ctx, r.workers, len(tasks), func(ctx context.Context, i int) error {
 		if r.metrics != nil {
 			g := r.metrics.Gauge(obs.MetricPoolActive)
 			g.Add(1)
 			defer g.Add(-1)
 		}
-		m, err := r.runJob(ctx, jobs[i])
+		t := tasks[i]
+		if t.job < 0 {
+			_, err := r.baseline(ctx, t.prof, b)
+			return err
+		}
+		m, err := r.runJob(ctx, jobs[t.job], b)
 		if err != nil {
 			return err
 		}
-		out[i] = m
+		out[t.job] = m
 		prog.done()
 		return nil
 	})

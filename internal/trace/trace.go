@@ -273,6 +273,14 @@ func NewGenerator(p Profile) (*Generator, error) {
 	return g, nil
 }
 
+// Clone returns a generator that continues the stream from the current
+// position independently of g. The branch-site tables are read-only after
+// construction and stay shared.
+func (g *Generator) Clone() *Generator {
+	cp := *g
+	return &cp
+}
+
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.prof }
 
