@@ -68,8 +68,6 @@ func run(ctx context.Context) error {
 	out := flag.String("out", "", "write machine-readable figure results JSON to this file (input for dtmreport)")
 	snapshotOut := flag.String("snapshot-out", "", "write a BENCH_<sha>.json perf snapshot into this directory (or to this exact path when it ends in .json)")
 	stageProfile := flag.String("stage-profile", "", "write per-stage coupled-loop attribution JSON to this file (dedicated profiled run after the sweep, so gated perf metrics are unaffected)")
-	multiRate := flag.Int("multirate", 0, "fuse up to N thermal steps while the DTM actuators are idle and the chip is well below trigger (0/1 = off; see core.Config.MultiRateMax)")
-	multiRateMargin := flag.Float64("multirate-margin", 0, "headroom in K below trigger required for multi-rate fusion (0 = config default)")
 	var prof obs.ProfileFlags
 	prof.Register(flag.CommandLine)
 	flag.Parse()
@@ -98,12 +96,6 @@ func run(ctx context.Context) error {
 	opts := experiments.DefaultOptions()
 	opts.Instructions = *insts
 	opts.Workers = *workers
-	if *multiRate > 1 {
-		opts.Config.MultiRateMax = *multiRate
-		if *multiRateMargin > 0 {
-			opts.Config.MultiRateMargin = *multiRateMargin
-		}
-	}
 	if *bench != "" {
 		p, ok := trace.ByName(*bench)
 		if !ok {

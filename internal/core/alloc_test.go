@@ -71,55 +71,3 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 		t.Errorf("coupled-loop step allocates %.1f times per iteration, want 0", allocs)
 	}
 }
-
-// TestMultiRateStepAllocationFree extends the zero-allocation contract to
-// the fused multi-rate step: a K-wide batch runs K·ThermalStepCycles
-// through the CPU and solves one backward-Euler system at dt·K. The
-// thermal model caches one factorization per distinct dt, so after the
-// first fused solve (excluded, like every other warm-up) the fused path
-// must be as heap-silent as the 1:1 path.
-func TestMultiRateStepAllocationFree(t *testing.T) {
-	cfg := quickConfig()
-	sim, err := New(cfg, gzipProfile(t), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(200_000); err != nil {
-		t.Fatal(err)
-	}
-
-	const k = 8
-	op := sim.ladder.Point(0)
-	dt := float64(cfg.ThermalStepCycles) / op.F * k
-	var act cpu.Activity
-	var activity, pvec, temps []float64
-	temps = sim.tm.BlockTemps(temps)
-
-	step := func() {
-		act.Reset()
-		if !sim.mrHeadroom(temps, cfg.Trigger) {
-			// Only the check's cost matters here; headroom itself varies.
-			_ = temps
-		}
-		if _, err := sim.core.RunGated(uint64(cfg.ThermalStepCycles)*k, cpu.Gates{}, &act); err != nil {
-			t.Fatal(err)
-		}
-		activity, err = act.BlockActivity(sim.fp, activity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvec, err = sim.pm.Compute(pvec, activity, 1, op.V, op.F, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.tm.Step(pvec, dt); err != nil {
-			t.Fatal(err)
-		}
-		temps = sim.tm.BlockTemps(temps)
-	}
-	step() // warm the dt·K backward-Euler factorization
-
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("fused multi-rate step allocates %.1f times per iteration, want 0", allocs)
-	}
-}

@@ -43,24 +43,6 @@ type Config struct {
 	// keeps sampling error below 0.1% with <1% simulation overhead).
 	ThermalStepCycles int
 
-	// MultiRateMax enables multi-rate integration when > 1: while the DTM
-	// actuators are idle and every expected sensor reading (true block
-	// temperature plus fixed sensor offset) sits at least MultiRateMargin
-	// kelvin below Trigger, up to MultiRateMax thermal steps are fused into
-	// one — one CPU batch, one power average, one backward-Euler solve over
-	// the combined interval. Fusion never crosses a sensor sample boundary,
-	// so the policy sees the same sampling times; near the trigger the loop
-	// collapses back to 1:1, so crossings and policy decisions are taken on
-	// the fine grid. With MultiRateMax ≤ 1 (the default) the stepping is
-	// bit-identical to the reference loop.
-	MultiRateMax int
-
-	// MultiRateMargin is the headroom (K) below Trigger required before
-	// steps are fused. It must exceed the sensor error envelope
-	// (sensor.Config.WorstCaseError) so a fused interval cannot hide a
-	// reading the policy would have acted on.
-	MultiRateMargin float64
-
 	// DVSSwitchTime is the voltage/frequency transition time; DVSStall
 	// selects whether the pipeline stalls through it ("stall") or keeps
 	// executing at the old setting until it completes ("ideal").
@@ -132,8 +114,6 @@ func DefaultConfig() Config {
 		Sensors: sensor.DefaultConfig(),
 
 		ThermalStepCycles: 10_000,
-		MultiRateMax:      1, // disabled; opt in via experiments -multirate
-		MultiRateMargin:   3,
 		DVSSwitchTime:     10e-6,
 		DVSStall:          true,
 
@@ -167,12 +147,6 @@ func (c Config) Validate() error {
 	}
 	if c.ThermalStepCycles <= 0 {
 		return fmt.Errorf("core: thermal step %d must be positive", c.ThermalStepCycles)
-	}
-	if c.MultiRateMax < 0 {
-		return fmt.Errorf("core: MultiRateMax %d must be ≥ 0", c.MultiRateMax)
-	}
-	if c.MultiRateMax > 1 && !(c.MultiRateMargin > 0) {
-		return fmt.Errorf("core: MultiRateMargin %v must be positive when multi-rate is enabled", c.MultiRateMargin)
 	}
 	if c.DVSSwitchTime < 0 {
 		return fmt.Errorf("core: negative DVS switch time %v", c.DVSSwitchTime)
@@ -306,19 +280,6 @@ func (s *Simulator) Core() *cpu.Core { return s.core }
 // Sensors returns the sensor bank, exposed for failure-injection studies
 // (see sensor.Bank.SetStuck).
 func (s *Simulator) Sensors() *sensor.Bank { return s.bank }
-
-// mrHeadroom reports whether every expected sensor reading — true block
-// temperature plus the sensor's fixed offset — sits at or below limit, i.e.
-// the chip is far enough below Trigger that a fused multi-rate interval
-// cannot mask a reading the policy would have acted on.
-func (s *Simulator) mrHeadroom(temps []float64, limit float64) bool {
-	for i, t := range temps {
-		if t+s.bank.Offset(i) > limit {
-			return false
-		}
-	}
-	return true
-}
 
 // start brings the simulator to the state its run begins from: the warm
 // step (unless the simulator was forked from a Warm), then the apply step.
@@ -494,11 +455,6 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 	hottest := 0
 	var energy float64
 
-	// Multi-rate integration state (Config.MultiRateMax). mrLimit is the
-	// highest expected sensor reading that still counts as "ample headroom".
-	mrMax := s.cfg.MultiRateMax
-	mrLimit := s.cfg.Trigger - s.cfg.MultiRateMargin
-
 	for {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
@@ -508,34 +464,6 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 		clockFrac := 1.0
 		stalled := false
 		act.Reset()
-
-		// Multi-rate fusion: with every actuator idle and every expected
-		// sensor reading at least MultiRateMargin below Trigger, fuse up to
-		// mrMax thermal steps into one CPU batch, one power average, and one
-		// backward-Euler solve over dt·k. The candidate check reads true
-		// temperatures plus fixed sensor offsets only — no bank.Read, so the
-		// sensor-noise RNG stream is untouched — and k is capped so fusion
-		// never crosses the next sample boundary: the policy samples at the
-		// same wall times either way. When the check fails (or mrMax ≤ 1)
-		// this is a fall-through and the step below is bit-identical to the
-		// reference loop.
-		runCycles := stepCycles
-		if mrMax > 1 && level == 0 && !clockStop && stallRemaining <= 0 &&
-			pendingLevel < 0 &&
-			stats.SameFloat(gates.Fetch, 0) && stats.SameFloat(gates.Int, 0) &&
-			stats.SameFloat(gates.FP, 0) && stats.SameFloat(gates.Mem, 0) &&
-			s.mrHeadroom(temps, mrLimit) {
-			if room := nextSample - wall; room > dt {
-				k := int(room / dt)
-				if k > mrMax {
-					k = mrMax
-				}
-				if k > 1 {
-					runCycles = stepCycles * uint64(k)
-					dt *= float64(k)
-				}
-			}
-		}
 
 		if sp != nil {
 			spActive = sp.StepTick()
@@ -557,11 +485,11 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 			}
 			stallRemaining -= dt
 		case sp != nil && spActive:
-			if _, err := s.core.RunGatedProfiled(runCycles, gates, &act, sp); err != nil {
+			if _, err := s.core.RunGatedProfiled(stepCycles, gates, &act, sp); err != nil {
 				return Result{}, err
 			}
 		default:
-			if _, err := s.core.RunGated(runCycles, gates, &act); err != nil {
+			if _, err := s.core.RunGated(stepCycles, gates, &act); err != nil {
 				return Result{}, err
 			}
 		}

@@ -1,11 +1,8 @@
 // Live summarization: the dashboard's in-memory twin of ReadTrace. The
 // serve layer keeps a bounded obs.Ring per running job; SummarizeEvents
-// folds that ring's retained tail into the same TraceSummary the batch
-// reader produces from a JSONL artifact, so the dashboard renders a
-// running job with exactly the timeline/residency code dtmreport uses on
-// finished ones. The two aggregations must stay in lockstep — any new
-// residency bucket belongs in both (TestSummarizeEventsMatchesReadTrace
-// pins the equivalence).
+// folds that ring's retained tail through the same fold ReadTrace runs on
+// a JSONL artifact, so the dashboard renders a running job with exactly
+// the timeline/residency code dtmreport uses on finished ones.
 package report
 
 import "hybriddtm/internal/obs"
@@ -23,45 +20,9 @@ func SummarizeEvents(meta obs.Meta, events []obs.Event, name string) TraceSummar
 		Blocks:    meta.Blocks,
 		Trigger:   meta.Trigger,
 		Emergency: meta.Emergency,
-		Events:    int64(len(events)),
 	}
 	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case obs.KindStep:
-			sum.Points = append(sum.Points, TracePoint{
-				T: ev.Time, MaxTemp: ev.MaxTemp, Gate: ev.GateFrac, Level: ev.Level,
-			})
-			sum.Duration += ev.Dt
-			if ev.MaxTemp > sum.Trigger {
-				sum.AboveTrigger += ev.Dt
-			}
-			if ev.GateFrac > 0 {
-				sum.Gated += ev.Dt
-			}
-			if ev.Level > 0 {
-				sum.LowV += ev.Dt
-			}
-			if ev.ClockStop {
-				sum.ClockStopped += ev.Dt
-			}
-			if ev.Stalled {
-				sum.Stalled += ev.Dt
-			}
-		case obs.KindActuation:
-			if ev.SwitchStarted {
-				sum.DVSSwitches++
-			}
-		case obs.KindCrossing:
-			if ev.Above {
-				switch ev.Threshold {
-				case "trigger":
-					sum.TriggerCrossings++
-				case "emergency":
-					sum.EmergencyUp++
-				}
-			}
-		}
+		sum.fold(&events[i])
 	}
 	sum.Points = downsample(sum.Points, maxTimelinePoints)
 	return sum

@@ -32,9 +32,10 @@ func liveFixture() (obs.Meta, []obs.Event) {
 	return meta, evs
 }
 
-// TestSummarizeEventsMatchesReadTrace pins the live aggregation to the
-// batch one: the same events, routed through the JSONL sink and read
-// back, must produce the same summary.
+// TestSummarizeEventsMatchesReadTrace pins ReadTrace's mapping from JSONL
+// records back onto obs.Event: both paths share one fold, so the same
+// events routed through the JSONL sink and read back must produce the
+// same summary as folding them directly.
 func TestSummarizeEventsMatchesReadTrace(t *testing.T) {
 	meta, evs := liveFixture()
 

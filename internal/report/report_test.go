@@ -3,12 +3,14 @@ package report
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"hybriddtm/internal/experiments"
+	"hybriddtm/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden report files")
@@ -177,5 +179,42 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 	_, err = ReadTrace(strings.NewReader("not json\n"), "x.jsonl")
 	if err == nil {
 		t.Error("non-JSON trace accepted")
+	}
+	newer := fmt.Sprintf("{\"ev\":\"begin\",\"schema\":%d}\n", obs.SchemaVersion+1)
+	_, err = ReadTrace(strings.NewReader(newer), "x.jsonl")
+	if err == nil || !strings.Contains(err.Error(), "not supported") {
+		t.Errorf("trace from a newer schema accepted: %v", err)
+	}
+}
+
+// TestReadTraceTolerates covers traces the reader summarizes rather than
+// rejects: a truncated trace without its end footer, and record kinds a
+// newer writer may add, which count as events but feed no bucket.
+func TestReadTraceTolerates(t *testing.T) {
+	begin := fmt.Sprintf(`{"ev":"begin","schema":%d,"trigger_c":81.8}`, obs.SchemaVersion)
+	step := `{"ev":"step","t":0.001,"dt":0.001,"max_t":82,"level":1}`
+	for _, tc := range []struct {
+		name     string
+		lines    []string
+		events   int64
+		switches int64
+		crossed  int64
+	}{
+		{"no footer", []string{begin, step, `{"ev":"actuation","switch":true}`, `{"ev":"crossing","threshold":"trigger","above":true}`}, 3, 1, 1},
+		{"unknown kind", []string{begin, `{"ev":"hologram","dt":5,"switch":true,"above":true,"threshold":"trigger"}`, step}, 2, 0, 0},
+		{"footer wins", []string{begin, step, `{"ev":"end","events":7}`}, 7, 0, 0},
+	} {
+		sum, err := ReadTrace(strings.NewReader(strings.Join(tc.lines, "\n")+"\n"), "x.jsonl")
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if sum.Events != tc.events || sum.DVSSwitches != tc.switches || sum.TriggerCrossings != tc.crossed {
+			t.Errorf("%s: events %d, switches %d, crossings %d; want %d, %d, %d", tc.name,
+				sum.Events, sum.DVSSwitches, sum.TriggerCrossings, tc.events, tc.switches, tc.crossed)
+		}
+		if len(sum.Points) != 1 || sum.Duration != 0.001 || sum.AboveTrigger != 0.001 || sum.LowV != 0.001 {
+			t.Errorf("%s: step not folded once: %+v", tc.name, sum)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 // Trace ingestion: dtmreport's reader for the schema-v1 JSONL event
-// stream (see internal/obs/sink.go). The reader aggregates a trace into
+// stream (see internal/obs/sink.go). The reader decodes each record into
+// an obs.Event and feeds it to fold, the one aggregation of events into
 // what the report renders — a thermal/actuation timeline plus DTM
-// residency and switch counts — without retaining the raw events, so a
+// residency and switch counts. SummarizeEvents (live.go) runs the same
+// fold over in-memory events. Raw events are not retained, so a
 // multi-gigabyte trace summarizes in one streaming pass.
 package report
 
@@ -80,14 +82,66 @@ type traceRec struct {
 	Events    int64   `json:"events"`
 }
 
+// fold accumulates one event into the summary: the event count, the
+// timeline point and residency buckets of a step, the DVS switch count,
+// and the upward crossing counts. Every trace source summarizes through
+// it, then downsamples the timeline once the last event is in.
+func (s *TraceSummary) fold(ev *obs.Event) {
+	s.Events++
+	switch ev.Kind {
+	case obs.KindStep:
+		s.Points = append(s.Points, TracePoint{T: ev.Time, MaxTemp: ev.MaxTemp, Gate: ev.GateFrac, Level: ev.Level})
+		s.Duration += ev.Dt
+		if ev.MaxTemp > s.Trigger {
+			s.AboveTrigger += ev.Dt
+		}
+		if ev.GateFrac > 0 {
+			s.Gated += ev.Dt
+		}
+		if ev.Level > 0 {
+			s.LowV += ev.Dt
+		}
+		if ev.ClockStop {
+			s.ClockStopped += ev.Dt
+		}
+		if ev.Stalled {
+			s.Stalled += ev.Dt
+		}
+	case obs.KindActuation:
+		if ev.SwitchStarted {
+			s.DVSSwitches++
+		}
+	case obs.KindCrossing:
+		if ev.Above {
+			switch ev.Threshold {
+			case "trigger":
+				s.TriggerCrossings++
+			case "emergency":
+				s.EmergencyUp++
+			}
+		}
+	}
+}
+
+// kindOf maps a record's "ev" tag onto its obs.Kind. A tag this reader
+// does not know, such as a kind a newer writer adds, lands past the last
+// known kind, where fold counts it and accumulates nothing.
+func kindOf(tag string) obs.Kind {
+	k := obs.KindStep
+	for name := k.String(); name != tag && name != "unknown"; name = k.String() {
+		k++
+	}
+	return k
+}
+
 // ReadTrace summarizes a schema-v1 JSONL trace stream.
 func ReadTrace(r io.Reader, name string) (TraceSummary, error) {
 	sum := TraceSummary{File: name}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var line int
-	var sawBegin, sawEnd bool
-	var events int64
+	var sawBegin bool
+	footer := int64(-1)
 	for sc.Scan() {
 		line++
 		var rec traceRec
@@ -107,44 +161,13 @@ func ReadTrace(r io.Reader, name string) (TraceSummary, error) {
 			sum.Emergency = rec.EmergC
 			sawBegin = true
 		case "end":
-			sum.Events = rec.Events
-			sawEnd = true
-		case "step":
-			events++
-			sum.Points = append(sum.Points, TracePoint{T: rec.T, MaxTemp: rec.MaxT, Gate: rec.Gate, Level: rec.Level})
-			sum.Duration += rec.Dt
-			if rec.MaxT > sum.Trigger {
-				sum.AboveTrigger += rec.Dt
-			}
-			if rec.Gate > 0 {
-				sum.Gated += rec.Dt
-			}
-			if rec.Level > 0 {
-				sum.LowV += rec.Dt
-			}
-			if rec.ClockStop {
-				sum.ClockStopped += rec.Dt
-			}
-			if rec.Stalled {
-				sum.Stalled += rec.Dt
-			}
-		case "actuation":
-			events++
-			if rec.Switch {
-				sum.DVSSwitches++
-			}
-		case "crossing":
-			events++
-			if rec.Above {
-				switch rec.Threshold {
-				case "trigger":
-					sum.TriggerCrossings++
-				case "emergency":
-					sum.EmergencyUp++
-				}
-			}
+			footer = rec.Events
 		default:
-			events++ // sensor/decision and forward-compatible kinds
+			sum.fold(&obs.Event{
+				Kind: kindOf(rec.Ev), Time: rec.T, Dt: rec.Dt, MaxTemp: rec.MaxT,
+				GateFrac: rec.Gate, Level: rec.Level, ClockStop: rec.ClockStop, Stalled: rec.Stalled,
+				SwitchStarted: rec.Switch, Threshold: rec.Threshold, Above: rec.Above,
+			})
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -153,10 +176,10 @@ func ReadTrace(r io.Reader, name string) (TraceSummary, error) {
 	if !sawBegin {
 		return sum, fmt.Errorf("report: %s: not a schema-v1 trace (no begin record)", name)
 	}
-	if !sawEnd {
-		// Truncated trace (e.g. a crashed run): still useful, count what
-		// we saw.
-		sum.Events = events
+	// A truncated trace (e.g. a crashed run) has no footer and keeps the
+	// count of the records seen.
+	if footer >= 0 {
+		sum.Events = footer
 	}
 	sum.Points = downsample(sum.Points, maxTimelinePoints)
 	return sum, nil

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"hybriddtm/internal/obs"
+	"hybriddtm/internal/report"
 )
 
 // TestTraceCLI runs dtmsim -trace-out for each paper policy and checks
@@ -68,7 +69,8 @@ func TestTraceCLI(t *testing.T) {
 	})
 }
 
-// checkJSONLTrace parses one trace file and asserts the schema contract.
+// checkJSONLTrace parses one trace file and asserts the schema contract,
+// then checks that report.ReadTraceFile's summary agrees with the raw scan.
 func checkJSONLTrace(t *testing.T, path, policy string) {
 	t.Helper()
 	f, err := os.Open(path)
@@ -79,6 +81,8 @@ func checkJSONLTrace(t *testing.T, path, policy string) {
 
 	kinds := map[string]int{}
 	var first, last map[string]any
+	var switches int64
+	var duration float64
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	line := 0
@@ -93,6 +97,15 @@ func checkJSONLTrace(t *testing.T, path, policy string) {
 			t.Fatalf("%s line %d: record without \"ev\" discriminator", path, line)
 		}
 		kinds[ev]++
+		switch ev {
+		case "step":
+			dt, _ := rec["dt"].(float64)
+			duration += dt
+		case "actuation":
+			if rec["switch"] == true {
+				switches++
+			}
+		}
 		if first == nil {
 			first = rec
 		}
@@ -121,5 +134,19 @@ func checkJSONLTrace(t *testing.T, path, policy string) {
 		if kinds[ev] == 0 {
 			t.Errorf("policy %s: no %q events in trace (kinds: %v)", policy, ev, kinds)
 		}
+	}
+
+	sum, err := report.ReadTraceFile(path)
+	if err != nil {
+		t.Fatalf("report.ReadTraceFile: %v", err)
+	}
+	if float64(sum.Events) != last["events"] {
+		t.Errorf("summary Events = %d, footer %v", sum.Events, last["events"])
+	}
+	if sum.DVSSwitches != switches {
+		t.Errorf("summary DVSSwitches = %d, want %d actuation records with switch:true", sum.DVSSwitches, switches)
+	}
+	if sum.Duration != duration {
+		t.Errorf("summary Duration = %v, want Σ step dt = %v", sum.Duration, duration)
 	}
 }
