@@ -3,50 +3,31 @@ package rc
 import (
 	"fmt"
 	"math"
-
-	"hybriddtm/internal/stats"
 )
 
-// This file implements the sparse-aware factorization behind backward Euler
-// and the steady-state solve. The matrices are G and C/dt + G, both
-// symmetric positive definite (G is a weighted graph Laplacian plus the
-// positive ambient conductances; C/dt adds a strictly positive diagonal),
-// so pivoting is unnecessary and a Cholesky-class factorization applies.
+// This file implements the one factorization behind backward Euler and the
+// steady-state solve. The matrices are G and C/dt + G, both symmetric
+// positive definite (G is a weighted graph Laplacian plus the positive
+// ambient conductances; C/dt adds a strictly positive diagonal), so
+// pivoting is unnecessary and a Cholesky-class factorization applies.
 //
 // We use the square-root-free (LDLᵀ) Cholesky variant over a symmetric
 // *profile* (skyline) structure: row i stores only columns
 // [prof[i], i), where prof[i] is the first nonzero column of the row, and
 // the classic no-fill property of profile elimination guarantees the
-// factor lives inside the same envelope. For a rows×cols thermal grid in
-// row-major order the envelope is one grid bandwidth wide, so the factor
-// costs O(n·w²) instead of O(n³) and each solve O(n·w) instead of O(n²).
-//
-// One deliberate quirk: the elimination follows the exact operation order
-// of Doolittle LU (the dense fallback in linalg.go) and stores the upper
-// factor rows and the lower multipliers separately instead of exploiting
-// value symmetry. Rounded Schur complements are not bit-symmetric —
-// (x/d)·y and (y/d)·x can differ in the last ulp — so deriving one
-// triangle from the other would perturb every solve at the ulp level and
-// ripple into the byte-exact golden trajectories. Keeping both triangles
-// costs 2× the factor memory but makes the sparse and dense paths
-// bit-for-bit interchangeable (TestSparseDenseBitIdentical holds the two
-// paths to exact equality on the real thermal models); the speedup comes
-// from the envelope, not from halving the triangle.
+// factor lives inside the same envelope. Only the strict lower triangle L
+// (row by row) and the pivots D are stored; symmetry supplies Lᵀ. For a
+// rows×cols thermal grid in row-major order the envelope is one grid
+// bandwidth wide, so the factor costs O(n·w²) instead of O(n³) and each
+// solve O(n·w) instead of O(n²).
 
-// symbolic is the shared, values-free part of a profile factorization:
-// the envelope shape and, per column k, the ascending list of rows/columns
-// whose envelope covers k. It depends only on the sparsity structure, so a
-// Network computes it once and every per-dt backward-Euler factor reuses it.
+// symbolic is the shared, values-free part of a profile factorization: the
+// envelope shape. It depends only on the sparsity structure, so a Network
+// computes it once and every per-dt backward-Euler factor reuses it.
 type symbolic struct {
 	n    int
 	prof []int // first column of row i's envelope (prof[i] ≤ i)
 	offs []int // len n+1: flat offset of row i's strictly-lower envelope
-
-	// cover[k] (flattened): ascending indices j > k with prof[j] ≤ k —
-	// exactly the rows touched by elimination step k, and by symmetry the
-	// columns whose envelope holds an entry in row k.
-	coverPtr []int
-	coverIdx []int32
 }
 
 func newSymbolic(a *CSR) *symbolic {
@@ -60,58 +41,22 @@ func newSymbolic(a *CSR) *symbolic {
 		s.prof[i] = first
 		s.offs[i+1] = s.offs[i] + i - first
 	}
-	counts := make([]int, n)
-	for j := 0; j < n; j++ {
-		for k := s.prof[j]; k < j; k++ {
-			counts[k]++
-		}
-	}
-	s.coverPtr = make([]int, n+1)
-	for k := 0; k < n; k++ {
-		s.coverPtr[k+1] = s.coverPtr[k] + counts[k]
-	}
-	s.coverIdx = make([]int32, s.coverPtr[n])
-	fill := make([]int, n)
-	copy(fill, s.coverPtr[:n])
-	for j := 0; j < n; j++ {
-		for k := s.prof[j]; k < j; k++ {
-			s.coverIdx[fill[k]] = int32(j)
-			fill[k]++
-		}
-	}
 	return s
 }
 
-func (s *symbolic) cover(k int) []int32 { return s.coverIdx[s.coverPtr[k]:s.coverPtr[k+1]] }
-
-// envelope returns the stored strictly-triangular entry count (per
-// triangle); exposed for capacity planning and the DESIGN.md numbers.
-func (s *symbolic) envelope() int { return s.offs[s.n] }
-
-// envelopeSize computes the envelope entry count straight off a CSR without
-// building the full symbolic structure — O(n), used by the auto solver
-// heuristic.
-func envelopeSize(a *CSR) int {
-	env := 0
-	for i := 0; i < a.n; i++ {
-		if first := a.colIdx[a.rowPtr[i]]; first < i {
-			env += i - first
-		}
-	}
-	return env
-}
+// row returns row i's strictly-lower envelope slice of a flat factor;
+// element k holds column prof[i]+k.
+func (s *symbolic) row(v []float64, i int) []float64 { return v[s.offs[i]:s.offs[i+1]] }
 
 // Cholesky is a square-root-free (LDLᵀ) Cholesky factorization of a
 // symmetric positive definite matrix over its profile envelope, for
 // repeatedly solving A x = b. Factor with FactorCholesky (stand-alone) or
-// through Network's solvers (shared symbolic structure). A Cholesky owns
-// scratch state: one instance must not be used concurrently.
+// through Network's solvers (shared symbolic structure). A factored
+// Cholesky is read-only, so solves may run concurrently.
 type Cholesky struct {
-	sym     *symbolic
-	low     []float64 // strictly lower multipliers, row-envelope order
-	up      []float64 // strictly upper factor, column-envelope order
-	diag    []float64 // pivots d_k (> 0 for SPD inputs)
-	scratch []float64
+	sym  *symbolic
+	low  []float64 // strict lower factor L, row-envelope order
+	diag []float64 // pivots d_i (> 0 for SPD inputs)
 }
 
 // NotSPDError reports a factorization attempt on a matrix that is not
@@ -125,25 +70,24 @@ type NotSPDError struct {
 }
 
 func (e *NotSPDError) Error() string {
-	return fmt.Sprintf("rc: matrix is not positive definite: pivot %d is %v (want > 0); Cholesky requires an SPD matrix — use the dense LU path for indefinite systems", e.Pivot, e.Value)
+	return fmt.Sprintf("rc: matrix is not positive definite: pivot %d is %v (want > 0); a thermal RC network needs positive resistances and capacitances and a path to ambient", e.Pivot, e.Value)
 }
 
 // newCholesky allocates a factorization shell over a shared symbolic
 // structure.
 func newCholesky(sym *symbolic) *Cholesky {
 	return &Cholesky{
-		sym:     sym,
-		low:     make([]float64, sym.envelope()),
-		up:      make([]float64, sym.envelope()),
-		diag:    make([]float64, sym.n),
-		scratch: make([]float64, sym.n),
+		sym:  sym,
+		low:  make([]float64, sym.offs[sym.n]),
+		diag: make([]float64, sym.n),
 	}
 }
 
 // FactorCholesky computes the profile LDLᵀ factorization of a, which must
 // be symmetric positive definite; diagShift, when non-nil, is added to the
-// diagonal before factoring (the backward-Euler C/dt term). a is not
-// modified. A *NotSPDError is returned for indefinite input.
+// diagonal before factoring (the backward-Euler C/dt term). Only the lower
+// triangle of a is read, and a is not modified. A *NotSPDError is returned
+// for indefinite input.
 func FactorCholesky(a *CSR, diagShift []float64) (*Cholesky, error) {
 	c := newCholesky(newSymbolic(a))
 	if err := c.factor(a, diagShift); err != nil {
@@ -152,26 +96,17 @@ func FactorCholesky(a *CSR, diagShift []float64) (*Cholesky, error) {
 	return c, nil
 }
 
-// factor loads a (plus diagShift on the diagonal) into the envelope and
-// eliminates in place.
+// factor loads the lower triangle of a (plus diagShift on the diagonal)
+// into the envelope and factors it row by row in place.
 func (c *Cholesky) factor(a *CSR, diagShift []float64) error {
 	s := c.sym
-	n := s.n
-	for i := range c.low {
-		c.low[i] = 0
-		c.up[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			j := a.colIdx[k]
-			v := a.val[k]
-			switch {
-			case j < i:
-				c.low[s.offs[i]+j-s.prof[i]] = v
-			case j == i:
-				c.diag[i] = v
-			default:
-				c.up[s.offs[j]+i-s.prof[j]] = v
+	clear(c.low)
+	for i := 0; i < s.n; i++ {
+		for k := a.rowPtr[i]; k < a.rowPtr[i+1] && a.colIdx[k] <= i; k++ {
+			if j := a.colIdx[k]; j < i {
+				c.low[s.offs[i]+j-s.prof[i]] = a.val[k]
+			} else {
+				c.diag[i] = a.val[k]
 			}
 		}
 		if diagShift != nil {
@@ -179,38 +114,33 @@ func (c *Cholesky) factor(a *CSR, diagShift []float64) error {
 		}
 	}
 
-	// Doolittle-ordered elimination restricted to the envelope: at step k
-	// only the rows/columns in cover(k) hold a nonzero in column/row k, and
-	// the skipped positions would contribute exact-zero updates in the
-	// dense factorization, so the arithmetic below is bit-identical to
-	// linalg.go's Factor whenever that one pivots on the diagonal (which it
-	// always does for these diagonally dominant SPD matrices).
-	for k := 0; k < n; k++ {
-		d := c.diag[k]
+	for i := 0; i < s.n; i++ {
+		pi := s.prof[i]
+		ri := s.row(c.low, i)
+		// u_ij = a_ij − Σ_k u_ik·l_jk over the overlap of rows i and j; the
+		// entries left of j in ri still hold u, row j already holds L.
+		for j := pi; j < i; j++ {
+			pj := s.prof[j]
+			k0 := max(pi, pj)
+			ui := ri[k0-pi : j-pi]
+			lj := s.row(c.low, j)[k0-pj : j-pj]
+			sum := ri[j-pi]
+			for k, u := range ui {
+				sum -= u * lj[k]
+			}
+			ri[j-pi] = sum
+		}
+		// l_ij = u_ij/d_j and d_i = a_ii − Σ_j u_ij·l_ij.
+		d := c.diag[i]
+		for k, u := range ri {
+			l := u / c.diag[pi+k]
+			ri[k] = l
+			d -= u * l
+		}
 		if math.IsNaN(d) || !(d > 0) {
-			return &NotSPDError{Pivot: k, Value: d}
+			return &NotSPDError{Pivot: i, Value: d}
 		}
-		cov := s.cover(k)
-		for ci, i32 := range cov {
-			i := int(i32)
-			li := s.offs[i] + k - s.prof[i]
-			m := c.low[li] / d
-			c.low[li] = m
-			if stats.SameFloat(m, 0) {
-				continue
-			}
-			// Row i of the Schur complement, ascending j as in the dense
-			// loop: lower targets first, then the diagonal, then upper.
-			for _, j32 := range cov[:ci] {
-				j := int(j32)
-				c.low[s.offs[i]+j-s.prof[i]] -= m * c.up[s.offs[j]+k-s.prof[j]]
-			}
-			c.diag[i] -= m * c.up[s.offs[i]+k-s.prof[i]]
-			for _, j32 := range cov[ci+1:] {
-				j := int(j32)
-				c.up[s.offs[j]+i-s.prof[j]] -= m * c.up[s.offs[j]+k-s.prof[j]]
-			}
-		}
+		c.diag[i] = d
 	}
 	return nil
 }
@@ -231,27 +161,25 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 //dtmlint:allocfree
 func (c *Cholesky) SolveInto(x, b []float64) {
 	s := c.sym
-	n := s.n
-	t := c.scratch
-	copy(t, b)
-	// Forward substitution with the unit lower factor (the multipliers).
-	for i := 1; i < n; i++ {
-		sum := t[i]
-		base := s.offs[i] - s.prof[i]
-		for j := s.prof[i]; j < i; j++ {
-			sum -= c.low[base+j] * t[j]
+	copy(x, b)
+	// L y = b, forward by rows of L.
+	for i := 1; i < s.n; i++ {
+		xs := x[s.prof[i]:i]
+		sum := x[i]
+		for k, l := range s.row(c.low, i) {
+			sum -= l * xs[k]
 		}
-		t[i] = sum
+		x[i] = sum
 	}
-	// Back substitution with the upper factor; cover(i) lists exactly the
-	// columns j > i whose envelope reaches row i, in ascending order.
-	for i := n - 1; i >= 0; i-- {
-		sum := t[i]
-		for _, j32 := range c.sym.cover(i) {
-			j := int(j32)
-			sum -= c.up[s.offs[j]+i-s.prof[j]] * t[j]
+	// D z = y.
+	for i, d := range c.diag {
+		x[i] /= d
+	}
+	// Lᵀ x = z, backward: once x_i is final, scatter it out of row i of L.
+	for i := s.n - 1; i > 0; i-- {
+		xi, xs := x[i], x[s.prof[i]:i]
+		for k, l := range s.row(c.low, i) {
+			xs[k] -= l * xi
 		}
-		t[i] = sum / c.diag[i]
 	}
-	copy(x, t)
 }

@@ -1,11 +1,6 @@
 package rc
 
-import (
-	"fmt"
-	"sort"
-
-	"hybriddtm/internal/stats"
-)
+import "sort"
 
 // CSR is a compressed sparse row matrix: the standard row-pointer /
 // column-index / value layout. HotSpot-class conductance matrices are
@@ -63,49 +58,6 @@ func (m *CSR) MatVecInto(y, x []float64) {
 		}
 		y[i] = s
 	}
-}
-
-// Dense materializes the matrix as a dense ragged [][]float64, the format
-// of the LU fallback path and of the dense-equivalence tests.
-func (m *CSR) Dense() [][]float64 {
-	a := make([][]float64, m.n)
-	for i := range a {
-		a[i] = make([]float64, m.n)
-		for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {
-			a[i][m.colIdx[k]] = m.val[k]
-		}
-	}
-	return a
-}
-
-// FromDense lowers a dense square matrix into CSR form, keeping every
-// structurally needed entry: nonzeros, plus an explicit diagonal slot per
-// row even when the diagonal is zero.
-func FromDense(a [][]float64) (*CSR, error) {
-	n := len(a)
-	if n == 0 {
-		return nil, fmt.Errorf("rc: empty matrix")
-	}
-	m := &CSR{n: n, rowPtr: make([]int, n+1), diag: make([]int, n)}
-	for i, row := range a {
-		if len(row) != n {
-			return nil, fmt.Errorf("rc: matrix not square: row %d has %d cols, want %d", i, len(row), n)
-		}
-		for j, v := range row {
-			if j == i {
-				m.diag[i] = len(m.val)
-				m.val = append(m.val, v)
-				m.colIdx = append(m.colIdx, j)
-				continue
-			}
-			if !stats.SameFloat(v, 0) {
-				m.val = append(m.val, v)
-				m.colIdx = append(m.colIdx, j)
-			}
-		}
-		m.rowPtr[i+1] = len(m.val)
-	}
-	return m, nil
 }
 
 // cooEntry is one off-diagonal contribution recorded during network

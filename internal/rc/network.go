@@ -17,9 +17,9 @@
 // handful of neighbours — so assembly records the resistances as triplets
 // and Finalize lowers them into a flat CSR matrix. All hot-path kernels run
 // over the nonzeros: RK4 derivatives are CSR matrix–vector products, and
-// backward Euler / steady state solve through a cached profile Cholesky
-// factorization (see cholesky.go). The dense LU path survives as a fallback
-// for non-SPD input and for the sparse-vs-dense equivalence tests.
+// backward Euler / steady state solve through a cached profile LDLᵀ
+// (Cholesky) factorization (see cholesky.go) — the one solver every
+// network uses, since a validated network's matrices are SPD.
 package rc
 
 import (
@@ -28,33 +28,6 @@ import (
 	"math"
 
 	"hybriddtm/internal/stats"
-)
-
-// solver abstracts the two factorization backends (profile Cholesky and
-// dense LU) behind the one call the steppers need.
-type solver interface {
-	SolveInto(x, b []float64)
-}
-
-// SolverMode selects the factorization backend for backward Euler and
-// steady state.
-type SolverMode int
-
-const (
-	// SolverAuto (the default) picks the profile Cholesky when the matrix
-	// envelope is sparse enough to pay for it — at most a quarter of the
-	// strictly-lower triangle — and the dense LU otherwise. Grid-style
-	// banded models clear the bar easily (the 16×16 EV6 grid envelope is
-	// ~12% of the triangle); small block/package models with all-to-center
-	// coupling (~39%) stay dense, which also keeps them on the exact
-	// arithmetic (including partial pivoting) that produced the golden
-	// trajectories.
-	SolverAuto SolverMode = iota
-	// SolverDense forces the dense LU with partial pivoting.
-	SolverDense
-	// SolverCholesky forces the profile Cholesky (with a dense fallback if
-	// the matrix turns out not to be SPD).
-	SolverCholesky
 )
 
 // Network is a thermal RC network under construction or in use. Build it
@@ -75,13 +48,12 @@ type Network struct {
 	g *CSR // conductance matrix, W/K; built by Finalize
 
 	finalized bool
-	mode      SolverMode
 
 	// Integrator state, allocated lazily.
-	sym     *symbolic         // shared profile structure for all factors
-	beCache map[uint64]solver // backward-Euler factors keyed by Float64bits(dt)
-	ss      solver            // steady-state factor of G
-	k1, k2  []float64         // RK4 scratch
+	sym     *symbolic            // shared profile structure for all factors
+	beCache map[uint64]*Cholesky // backward-Euler factors keyed by Float64bits(dt)
+	ss      *Cholesky            // steady-state factor of G
+	k1, k2  []float64            // RK4 scratch
 	k3, k4  []float64
 	tmp     []float64
 	shift   []float64 // C/dt diagonal shift scratch, W/K
@@ -195,7 +167,7 @@ func (nw *Network) Finalize() error {
 	}
 	nw.finalized = true
 	nw.off = nil // assembly triplets are folded into the CSR now
-	nw.beCache = make(map[uint64]solver)
+	nw.beCache = make(map[uint64]*Cholesky)
 	n := len(nw.names)
 	nw.k1 = make([]float64, n)
 	nw.k2 = make([]float64, n)
@@ -268,66 +240,20 @@ func (nw *Network) AmbientConductance(i int) float64 { return nw.gAmb[i] }
 // Read-only use intended.
 func (nw *Network) G() *CSR { return nw.g }
 
-// SetSolverMode selects the factorization backend (see SolverMode).
-// Existing factorization caches are dropped on a change, so switching
-// mid-run is safe but re-factors on the next solve.
-func (nw *Network) SetSolverMode(m SolverMode) {
-	if nw.mode == m {
-		return
-	}
-	nw.mode = m
-	nw.ss = nil
-	if nw.beCache != nil {
-		nw.beCache = make(map[uint64]solver)
-	}
-}
-
-// ensureSymbolic builds the shared profile structure on first use.
-func (nw *Network) ensureSymbolic() *symbolic {
+// factor builds the LDLᵀ factorization of G + diag(shift) (shift nil for G
+// itself) over the network's shared profile structure, built on first use.
+// Validated networks are SPD by construction — positive R and C, a path to
+// ambient, a connected graph — so a *NotSPDError here means a malformed
+// model.
+func (nw *Network) factor(shift []float64) (*Cholesky, error) {
 	if nw.sym == nil {
 		nw.sym = newSymbolic(nw.g)
 	}
-	return nw.sym
-}
-
-// useCholesky resolves the solver mode against the matrix structure.
-func (nw *Network) useCholesky() bool {
-	switch nw.mode {
-	case SolverDense:
-		return false
-	case SolverCholesky:
-		return true
+	c := newCholesky(nw.sym)
+	if err := c.factor(nw.g, shift); err != nil {
+		return nil, err
 	}
-	// Auto: the envelope must be sparse enough that profile elimination
-	// clearly beats the dense triangle. envelopeSize is O(n) off the CSR.
-	return 4*envelopeSize(nw.g) <= nw.g.n*(nw.g.n-1)/2
-}
-
-// factor builds a solver for G + diag(shift) (shift nil for G itself):
-// profile Cholesky when the mode (or the auto heuristic) selects it, dense
-// LU with partial pivoting otherwise — and as the fallback when Cholesky
-// rejects the matrix as not SPD, which a physical network never is; the
-// fallback keeps pathological hand-built matrices solvable.
-func (nw *Network) factor(shift []float64) (solver, error) {
-	if nw.useCholesky() {
-		c := newCholesky(nw.ensureSymbolic())
-		err := c.factor(nw.g, shift)
-		if err == nil {
-			return c, nil
-		}
-		var nspd *NotSPDError
-		if !errors.As(err, &nspd) {
-			return nil, err
-		}
-		// Fall through to dense LU with partial pivoting.
-	}
-	a := nw.g.Dense()
-	if shift != nil {
-		for i := range a {
-			a[i][i] += shift[i]
-		}
-	}
-	return Factor(a)
+	return c, nil
 }
 
 // SteadyState solves G θ = P for the steady-state temperature rise above

@@ -2,6 +2,7 @@ package rc
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,10 +10,6 @@ import (
 
 	"hybriddtm/internal/stats"
 )
-
-// buildNetwork constructs a fresh network from a deterministic recipe so the
-// bit-identity tests can run the same model through both solver backends.
-type buildNetwork func() *Network
 
 // gridNetwork builds a rows×cols thermal grid: lateral resistances between
 // neighbours, every cell tied to ambient — the same stencil shape as the
@@ -54,143 +51,158 @@ func gridNetwork(rows, cols int) *Network {
 	return nw
 }
 
-// runSolves drives one network through the solver-backed paths (steady state
-// and backward Euler at two step sizes) and returns the concatenated outputs.
-func runSolves(t *testing.T, nw *Network) []float64 {
-	t.Helper()
-	n := nw.NumNodes()
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = 0.1 + 0.03*float64(i%11)
-	}
-	var out []float64
-	ss, err := nw.SteadyState(p)
-	if err != nil {
-		t.Fatalf("SteadyState: %v", err)
-	}
-	out = append(out, ss...)
-	theta := append([]float64(nil), ss...)
-	for s := 0; s < 5; s++ {
-		if err := nw.StepBE(theta, p, 1e-3); err != nil {
-			t.Fatalf("StepBE: %v", err)
+// closeTo reports the first element where got and want differ by more than
+// tol.
+func closeTo(what string, got, want []float64, tol float64) error {
+	for i := range want {
+		if !stats.ApproxEqual(got[i], want[i], tol) {
+			return fmt.Errorf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
-	out = append(out, theta...)
-	for s := 0; s < 3; s++ {
-		if err := nw.StepBE(theta, p, 2.5e-4); err != nil {
-			t.Fatalf("StepBE small dt: %v", err)
-		}
-	}
-	out = append(out, theta...)
-	return out
+	return nil
 }
 
-// TestSparseDenseBitIdentical holds the profile Cholesky path to exact bit
-// equality with the dense LU path on thermal-shaped matrices. This is the
-// load-bearing guarantee behind the byte-exact golden trajectories: the
-// sparse kernels are a pure speedup, not a numerical change. See the
-// rationale comment at the top of cholesky.go.
-func TestSparseDenseBitIdentical(t *testing.T) {
-	builders := map[string]buildNetwork{
-		"grid16x16": func() *Network { return gridNetwork(16, 16) },
-		"grid7x3":   func() *Network { return gridNetwork(7, 3) },
-		"random":    func() *Network { return randomNetwork(rand.New(rand.NewSource(42))) },
+// checkAgainstOracle cross-checks one network's CSR kernels against dense
+// references: the derivative against a dense mat-vec, and the steady-state
+// and backward-Euler solves against the dense LU oracle, all within tol.
+func checkAgainstOracle(nw *Network, p, theta []float64, tol float64) error {
+	n := nw.NumNodes()
+	a := nw.G().Dense()
+	gotD := make([]float64, n)
+	nw.deriv(gotD, theta, p)
+	wantD := matVec(a, theta)
+	for i := range wantD {
+		wantD[i] = (p[i] - wantD[i]) / nw.Capacitance(i)
 	}
-	for name, build := range builders {
-		t.Run(name, func(t *testing.T) {
-			sparse := build()
-			sparse.SetSolverMode(SolverCholesky)
-			dense := build()
-			dense.SetSolverMode(SolverDense)
-			got := runSolves(t, sparse)
-			want := runSolves(t, dense)
-			if len(got) != len(want) {
-				t.Fatalf("output length mismatch: %d vs %d", len(got), len(want))
-			}
-			for i := range got {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("element %d: sparse %v (bits %#x) != dense %v (bits %#x)",
-						i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
-				}
+	if err := closeTo("deriv", gotD, wantD, tol); err != nil {
+		return err
+	}
+	ss, err := nw.SteadyState(p)
+	if err != nil {
+		return err
+	}
+	wantSS, err := solveDense(a, p)
+	if err != nil {
+		return err
+	}
+	if err := closeTo("steady state", ss, wantSS, tol); err != nil {
+		return err
+	}
+	const dt = 0.01
+	for i := range a {
+		a[i][i] += nw.Capacitance(i) / dt
+	}
+	be, err := factorDense(a)
+	if err != nil {
+		return err
+	}
+	th := append([]float64(nil), theta...)
+	want := append([]float64(nil), theta...)
+	rhs := make([]float64, n)
+	for s := 0; s < 4; s++ {
+		if err := nw.StepBE(th, p, dt); err != nil {
+			return err
+		}
+		for i := range rhs {
+			rhs[i] = nw.Capacitance(i)/dt*want[i] + p[i]
+		}
+		want = be.solve(rhs)
+	}
+	return closeTo("backward Euler", th, want, tol)
+}
+
+// randomLoad draws a power vector (W) and a temperature-rise state (K).
+func randomLoad(rng *rand.Rand, n int) (p, theta []float64) {
+	p = make([]float64, n)
+	theta = make([]float64, n)
+	for i := range p {
+		p[i] = rng.Float64() * 3
+		theta[i] = rng.Float64() * 20
+	}
+	return p, theta
+}
+
+// TestSparseDenseEquivalenceRandom cross-checks the CSR kernels and the
+// profile LDLᵀ against the dense oracle within ApproxEqual, on grid-shaped
+// networks (the banded envelope of the hotspot grid model) and on random
+// SPD networks.
+func TestSparseDenseEquivalenceRandom(t *testing.T) {
+	const tol = 1e-9
+	for _, tc := range []struct {
+		name string
+		nw   *Network
+	}{
+		{"grid16x16", gridNetwork(16, 16)},
+		{"grid7x3", gridNetwork(7, 3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, theta := randomLoad(rand.New(rand.NewSource(42)), tc.nw.NumNodes())
+			if err := checkAgainstOracle(tc.nw, p, theta, tol); err != nil {
+				t.Error(err)
 			}
 		})
 	}
-}
-
-// TestSparseDenseEquivalenceRandom cross-checks the CSR kernels against
-// dense references on random SPD networks: the CSR derivative against a
-// dense mat-vec, and the Cholesky backward-Euler/steady-state solves
-// against the dense LU backend, within ApproxEqual.
-func TestSparseDenseEquivalenceRandom(t *testing.T) {
-	const tol = 1e-9
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		nw := randomNetwork(rng)
-		n := nw.NumNodes()
-		p := make([]float64, n)
-		theta := make([]float64, n)
-		for i := range p {
-			p[i] = rng.Float64() * 3
-			theta[i] = rng.Float64() * 20
-		}
-		// Derivative: CSR row walk vs dense mat-vec.
-		a := nw.G().Dense()
-		gotD := make([]float64, n)
-		nw.deriv(gotD, theta, p)
-		gtheta := MatVec(a, theta)
-		for i := range gotD {
-			want := (p[i] - gtheta[i]) / nw.Capacitance(i)
-			if !stats.ApproxEqual(gotD[i], want, tol) {
-				return false
-			}
-		}
-		// Steady state and BE: Cholesky backend vs forced-dense backend.
-		nw.SetSolverMode(SolverCholesky)
-		twin := randomNetwork(rand.New(rand.NewSource(seed)))
-		twin.SetSolverMode(SolverDense)
-		ss1, err1 := nw.SteadyState(p)
-		ss2, err2 := twin.SteadyState(p)
-		if err1 != nil || err2 != nil {
+		p, theta := randomLoad(rng, nw.NumNodes())
+		if err := checkAgainstOracle(nw, p, theta, tol); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
-		}
-		for i := range ss1 {
-			if !stats.ApproxEqual(ss1[i], ss2[i], tol) {
-				return false
-			}
-		}
-		th1 := append([]float64(nil), theta...)
-		th2 := append([]float64(nil), theta...)
-		for s := 0; s < 4; s++ {
-			if err := nw.StepBE(th1, p, 0.01); err != nil {
-				return false
-			}
-			if err := twin.StepBE(th2, p, 0.01); err != nil {
-				return false
-			}
-		}
-		for i := range th1 {
-			if !stats.ApproxEqual(th1[i], th2[i], tol) {
-				return false
-			}
-		}
-		// RK4 runs the same CSR code regardless of backend; make sure it
-		// still contracts toward the same steady state from both copies.
-		if err := nw.StepRK4(th1, p, 0.05); err != nil {
-			return false
-		}
-		if err := twin.StepRK4(th2, p, 0.05); err != nil {
-			return false
-		}
-		for i := range th1 {
-			if !stats.ApproxEqual(th1[i], th2[i], tol) {
-				return false
-			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzSteadyState drives the steady-state solve with random networks and
+// powers and checks it three independent ways: against the dense LU
+// oracle, by its residual ‖Gθ − P‖∞ ≤ 1e-9·‖P‖∞, and against backward
+// Euler at a step so long that it must land on the same steady state.
+func FuzzSteadyState(f *testing.F) {
+	for _, seed := range []int64{0, 1, 7, 42} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		const tol = 1e-9
+		rng := rand.New(rand.NewSource(seed))
+		nw := randomNetwork(rng)
+		n := nw.NumNodes()
+		p := make([]float64, n)
+		for i := range p {
+			p[i] = rng.Float64() * 10
+		}
+		ss, err := nw.SteadyState(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := solveDense(nw.G().Dense(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := closeTo("steady state", ss, want, tol); err != nil {
+			t.Error(err)
+		}
+		g := make([]float64, n)
+		nw.G().MatVecInto(g, ss)
+		var res, pMax float64
+		for i := range p {
+			res = max(res, math.Abs(g[i]-p[i]))
+			pMax = max(pMax, math.Abs(p[i]))
+		}
+		if res > tol*pMax {
+			t.Errorf("residual ‖Gθ−P‖∞ = %g, want ≤ %g", res, tol*pMax)
+		}
+		th := make([]float64, n)
+		if err := nw.StepBE(th, p, 1e15); err != nil {
+			t.Fatal(err)
+		}
+		if err := closeTo("StepBE(dt=1e15)", th, ss, tol); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestCholeskyRejectsNonSPD pins the error contract: a symmetric but
@@ -221,11 +233,53 @@ func TestCholeskyRejectsNonSPD(t *testing.T) {
 	}
 }
 
-// TestNetworkFallsBackToDenseLU checks that a network whose shifted matrix
-// somehow fails the SPD test still solves through the LU fallback. We force
-// the situation via the dense toggle plus a direct Cholesky attempt.
+// TestFactorSingular: a singular matrix leaves a zero pivot, which the
+// factorization rejects like any other non-SPD input.
+func TestFactorSingular(t *testing.T) {
+	a, err := FromDense([][]float64{{1, 2}, {2, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nspd *NotSPDError
+	if _, err := FactorCholesky(a, nil); !errors.As(err, &nspd) {
+		t.Fatalf("FactorCholesky on a singular matrix: err %v, want *NotSPDError", err)
+	}
+}
+
+func TestSolveWrongLength(t *testing.T) {
+	a, err := FromDense([][]float64{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FactorCholesky(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Solve([]float64{1, 2}); err == nil {
+		t.Error("Solve accepted wrong-length rhs")
+	}
+}
+
+func TestSolveIntoAliasing(t *testing.T) {
+	a, err := FromDense([][]float64{{2, -1}, {-1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FactorCholesky(a, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{1, 7}
+	f.SolveInto(x, x) // aliased in/out must work
+	if math.Abs(x[0]-11.0/7) > 1e-12 || math.Abs(x[1]-15.0/7) > 1e-12 {
+		t.Errorf("aliased SolveInto = %v, want [11/7 15/7]", x)
+	}
+}
+
+// TestCholeskyDiagShift: diagShift must act exactly like adding to the
+// diagonal before factoring, bit for bit — backward Euler relies on it to
+// factor C/dt + G without materializing the shifted matrix.
 func TestCholeskyDiagShift(t *testing.T) {
-	// diagShift must act exactly like adding to the diagonal before factoring.
 	base := [][]float64{{4, -1, 0}, {-1, 3, -1}, {0, -1, 2}}
 	shift := []float64{0.5, 1.5, 2.5}
 	shifted := [][]float64{{4.5, -1, 0}, {-1, 4.5, -1}, {0, -1, 4.5}}
@@ -300,7 +354,7 @@ func TestCSRRoundTrip(t *testing.T) {
 	x := []float64{1, -2, 3, 0.5}
 	y := make([]float64, 4)
 	m.MatVecInto(y, x)
-	want := MatVec(a, x)
+	want := matVec(a, x)
 	for i := range y {
 		if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
 			t.Errorf("MatVec[%d] = %v, want %v", i, y[i], want[i])
@@ -392,17 +446,9 @@ func TestHotPathsAllocationFree(t *testing.T) {
 			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
 		}
 	}
-	// The dense LU backend shares the contract once factored.
-	lu, err := Factor(nw.G().Dense())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { lu.SolveInto(dst, p) }); allocs != 0 {
-		t.Errorf("LU.SolveInto allocates %.1f times per call, want 0", allocs)
-	}
 }
 
-// TestSteadyStateIntoAliasing: dst may alias p, like LU.SolveInto.
+// TestSteadyStateIntoAliasing: dst may alias p, like Cholesky.SolveInto.
 func TestSteadyStateIntoAliasing(t *testing.T) {
 	nw := gridNetwork(4, 4)
 	p := make([]float64, nw.NumNodes())
