@@ -214,7 +214,7 @@ func benchSuiteWorkers(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ms, err := r.Suite(experiments.HybPolicy(opts.Config, true))
+		ms, err := r.SuiteContext(context.Background(), opts.Config, experiments.HybPolicy(opts.Config, true))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,28 +3,17 @@
 // errsink, allocguard, lockcheck — see internal/analysis/... and
 // DESIGN.md "Static analysis").
 //
-// Two modes:
+//	dtmlint [-allocguard.report=<file>] ./...
 //
-//	dtmlint ./...                                 # standalone
-//	go vet -vettool=$(which dtmlint) ./...        # unit-checker protocol
-//
-// Standalone mode loads and type-checks the requested packages itself
-// (via `go list -export`) and exits 1 if any finding survives the
-// //dtmlint:allow suppressions. Under `go vet`, cmd/go plans the build,
-// passes one JSON .cfg per package, and caches results; dtmlint follows
-// the x/tools unitchecker conventions (-V=full version handshake, -flags
-// flag enumeration, exit 2 on findings).
-//
-// Standalone mode additionally accepts -allocguard.report=<file>, which
-// writes allocguard's reachability artifact (every //dtmlint:allocfree
-// root with its local, external, and dynamic call frontier) alongside
-// the normal findings. The flag is standalone-only: under go vet the
-// -flags enumeration stays empty so the vet result cache keys only on
-// the binary hash.
+// dtmlint loads and type-checks the requested packages itself (via
+// `go list -export`) and exits 1 if any finding survives the
+// //dtmlint:allow suppressions. -allocguard.report=<file> also writes
+// allocguard's reachability artifact (every //dtmlint:allocfree root
+// with its local, external, and dynamic call frontier) alongside the
+// normal findings.
 package main
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -52,34 +41,8 @@ var analyzers = []*analysis.Analyzer{
 
 func main() {
 	args := os.Args[1:]
-
-	// cmd/go handshake: tool identity for the vet result cache. The
-	// version string hashes the binary itself so a rebuilt dtmlint
-	// invalidates stale cached findings.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
-		fmt.Printf("dtmlint version %s\n", selfHash())
-		return
-	}
-	// cmd/go flag enumeration: dtmlint defines no analyzer flags.
-	if len(args) == 1 && args[0] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
 	if len(args) == 1 && args[0] == "help" {
 		usage(os.Stdout)
-		return
-	}
-
-	// Unit-checker mode: a single vet.cfg argument.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		n, err := analysis.RunVet(args[0], analyzers, os.Stderr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmlint: %v\n", err)
-			os.Exit(1)
-		}
-		if n > 0 {
-			os.Exit(2)
-		}
 		return
 	}
 
@@ -98,7 +61,6 @@ func main() {
 		patterns = append(patterns, a)
 	}
 
-	// Standalone mode.
 	pkgs, err := analysis.Load(".", patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dtmlint: %v\n", err)
@@ -136,29 +98,11 @@ func main() {
 	}
 }
 
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:16])
-}
-
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dtmlint [flags] [packages]                standalone (default ./...)
-  go vet -vettool=$(which dtmlint) [pkgs]   via the go vet driver
+  dtmlint [flags] [packages]   (default ./...)
 
-Flags (standalone only):
+Flags:
   -allocguard.report=<file>   write the allocguard reachability artifact
 
 Analyzers:`)

@@ -16,7 +16,8 @@
 //
 // Compare mode diffs two perf snapshots and exits 1 when any metric
 // regressed past the threshold (CI's perf gate); -compare-metrics
-// restricts the gate to the named metrics.
+// restricts the gate to the named metrics and exits 1 when either
+// snapshot lacks one of them.
 package main
 
 import (
@@ -121,7 +122,10 @@ func compare(basePath, headPath string, threshold float64, metricList string) er
 			}
 		}
 	}
-	deltas, regressed := obs.CompareBench(base, head, threshold, only)
+	deltas, missing, regressed := obs.CompareBench(base, head, threshold, only)
+	if len(missing) > 0 {
+		return fmt.Errorf("named metric(s) missing: %s", strings.Join(missing, ", "))
+	}
 	if len(deltas) == 0 {
 		return fmt.Errorf("snapshots share no comparable metrics")
 	}

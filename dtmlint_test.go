@@ -1,7 +1,6 @@
 // Process-level contract test for cmd/dtmlint: the repo must lint clean,
-// a planted violation must fail the build with a finding on the right
-// line, and the go vet -vettool integration must honor the unit-checker
-// protocol. This is the executable form of the CI lint gate.
+// and a planted violation must fail the build with a finding on the right
+// line. This is the executable form of the CI lint gate.
 package hybriddtm
 
 import (
@@ -79,49 +78,10 @@ func Stamp() int64 {
 	})
 }
 
-// TestDtmlintVettool drives dtmlint through go vet, which exercises the
-// -V=full handshake, the .cfg protocol, and exit-code conventions.
-func TestDtmlintVettool(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds dtmlint and runs go vet over a module")
-	}
-	bin := buildDtmlint(t)
-
-	t.Run("planted-violation", func(t *testing.T) {
-		dir := plantModule(t, `package core
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`)
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("go vet -vettool passed on planted violation:\n%s", out)
-		}
-		if !strings.Contains(string(out), "detguard") {
-			t.Errorf("vet output lacks the detguard finding:\n%s", out)
-		}
-	})
-
-	t.Run("clean-module", func(t *testing.T) {
-		dir := plantModule(t, `package core
-
-func Stamp() int64 { return 42 }
-`)
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
-		cmd.Dir = dir
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go vet -vettool on clean module: %v\n%s", err, out)
-		}
-	})
-}
-
 // TestDtmlintAllocguardPlant copies the working tree, plants a
 // fmt.Sprintf inside power.Compute — a //dtmlint:allocfree root backed
-// by TestComputeAllocationFree — and demands both drivers report it at
-// the planted file:line. This proves the real annotation is present and
+// by TestComputeAllocationFree — and demands dtmlint report it at the
+// planted file:line. This proves the real annotation is present and
 // load-bearing, not just that the analyzer works on fixtures.
 func TestDtmlintAllocguardPlant(t *testing.T) {
 	if testing.Short() {
@@ -163,18 +123,6 @@ func TestDtmlintAllocguardPlant(t *testing.T) {
 		}
 		if !strings.Contains(string(out), "allocguard") || !strings.Contains(string(out), wantLoc) {
 			t.Errorf("allocguard finding not located at %s:\n%s", wantLoc, out)
-		}
-	})
-
-	t.Run("vettool", func(t *testing.T) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/power")
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		if err == nil {
-			t.Fatalf("go vet -vettool passed on planted allocation:\n%s", out)
-		}
-		if !strings.Contains(string(out), "allocguard") || !strings.Contains(string(out), wantLoc) {
-			t.Errorf("vet output lacks the located allocguard finding:\n%s", out)
 		}
 	})
 }

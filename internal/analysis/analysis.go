@@ -1,20 +1,17 @@
 // Package analysis is a self-contained static-analysis framework for the
 // repository's domain linters (cmd/dtmlint). It mirrors the API shape of
 // golang.org/x/tools/go/analysis — Analyzer, Pass, Diagnostic — so the
-// five dtmlint analyzers could be ported to the upstream framework
+// seven dtmlint analyzers could be ported to the upstream framework
 // verbatim, but it is built purely on the standard library (go/ast,
 // go/types, go/importer plus `go list -export` for dependency export
 // data), because this repository deliberately carries no third-party
 // dependencies.
 //
-// Three drivers share the framework:
-//
-//   - the standalone multichecker (cmd/dtmlint ./...), which loads
-//     packages itself via Load;
-//   - the `go vet -vettool` unit-checker protocol (vet.go), where cmd/go
-//     hands the tool one pre-planned package per invocation;
-//   - the analysistest-style fixture runner used by the analyzers' own
-//     tests (internal/analysis/analysistest).
+// One driver runs the analyzers over the module: the multichecker
+// cmd/dtmlint, which loads packages itself via Load. The analyzers' own
+// tests run them over fixtures through the analysistest runner
+// (internal/analysis/analysistest), which type-checks each fixture with
+// Check.
 //
 // Suppressions: a finding is silenced by a comment
 //

@@ -32,11 +32,9 @@ type listPackage struct {
 
 // Load resolves the package patterns in dir and returns the type-checked
 // module packages (dependencies are consumed as compiled export data, not
-// re-analyzed). It is the standalone-mode equivalent of the package
-// loading cmd/go performs for `go vet`: one `go list -deps -export -json`
-// invocation supplies the file lists and the export-data files of every
-// dependency, and each target package is then parsed and type-checked
-// against those.
+// re-analyzed). One `go list -deps -export -json` invocation supplies
+// the file lists and the export-data files of every dependency, and each
+// target package is then parsed and type-checked against those.
 func Load(dir string, patterns ...string) ([]*CheckedPackage, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -98,8 +96,7 @@ func Load(dir string, patterns ...string) ([]*CheckedPackage, error) {
 
 // Check parses and type-checks one package from its file list. Imports
 // are resolved through lookup, which must return gc export data for the
-// given import path (as produced by `go list -export` or recorded in a
-// vet.cfg PackageFile map).
+// given import path (as produced by `go list -export`).
 func Check(path, dir string, goFiles []string, lookup func(string) (io.ReadCloser, error)) (*CheckedPackage, error) {
 	fset := token.NewFileSet()
 	var files []*ast.File

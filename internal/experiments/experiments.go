@@ -15,7 +15,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"runtime"
 	"sync"
@@ -36,11 +35,6 @@ type Options struct {
 	Instructions uint64
 	Benchmarks   []trace.Profile
 	Config       core.Config
-
-	// Log is an optional destination for human-readable progress. It is
-	// wrapped in a debug-level slog text handler; prefer Logger for full
-	// control over level and format. Ignored when Logger is set.
-	Log io.Writer
 
 	// Logger, when non-nil, receives structured logs: per-run completions
 	// at Debug ("run"), pool progress with ETA at Info ("progress").
@@ -204,15 +198,10 @@ func NewRunner(opts Options) (*Runner, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	logger := opts.Logger
-	if logger == nil && opts.Log != nil {
-		logger = slog.New(slog.NewTextHandler(opts.Log,
-			&slog.HandlerOptions{Level: slog.LevelDebug}))
-	}
 	return &Runner{
 		opts:      opts,
 		workers:   workers,
-		log:       logger,
+		log:       opts.Logger,
 		metrics:   opts.Metrics,
 		baselines: make(map[string]*baselineEntry),
 		warm:      make(map[string]*warmEntry),
@@ -225,13 +214,8 @@ func (r *Runner) Options() Options { return r.opts }
 // Workers returns the effective worker-pool size.
 func (r *Runner) Workers() int { return r.workers }
 
-// Baseline returns the cached no-DTM result for a benchmark.
-func (r *Runner) Baseline(prof trace.Profile) (core.Result, error) {
-	return r.BaselineContext(context.Background(), prof)
-}
-
-// BaselineContext is Baseline with cancellation. Concurrent callers for the
-// same benchmark share one simulation. A result aborted by cancellation is
+// BaselineContext returns the cached no-DTM result for a benchmark.
+// Concurrent callers for the same benchmark share one simulation. A result aborted by cancellation is
 // not cached, so a later call with a live context recomputes it; any other
 // error is cached (it is deterministic and would simply recur).
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
@@ -309,22 +293,11 @@ type Measurement struct {
 	Result    core.Result
 }
 
-// Run executes one benchmark under one policy (with the runner's config)
-// and returns its slowdown against the cached baseline.
-func (r *Runner) Run(prof trace.Profile, factory PolicyFactory) (Measurement, error) {
-	return r.RunWithConfig(r.opts.Config, prof, factory)
-}
-
-// RunWithConfig is Run with a per-call config override (the baseline is
-// still taken from the runner's base config, which is what the paper
-// normalizes against).
-func (r *Runner) RunWithConfig(cfg core.Config, prof trace.Profile, factory PolicyFactory) (Measurement, error) {
-	return r.runJob(context.Background(), Job{Config: cfg, Profile: prof, Factory: factory}, nil)
-}
-
-// RunJobContext executes one job on the calling goroutine, sharing the
-// runner's singleflight baseline cache and metrics registry with every
-// other caller. It is the entry point for drivers that manage their own
+// RunJobContext executes one job on the calling goroutine and returns its
+// slowdown against the cached baseline, which is always taken from the
+// runner's base config (what the paper normalizes against), whatever
+// job.Config overrides. It shares the runner's singleflight baseline
+// cache and metrics registry with every other caller. It is the entry point for drivers that manage their own
 // concurrency (the dtmserve worker pool); batch drivers use RunJobs.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
 	return r.runJob(ctx, job, nil)
@@ -373,17 +346,6 @@ func (r *Runner) runJob(ctx context.Context, job Job, b *warmBatch) (Measurement
 		Slowdown:  perInst / basePerInst,
 		Result:    res,
 	}, nil
-}
-
-// Suite runs every benchmark under the factory and returns measurements in
-// benchmark order.
-func (r *Runner) Suite(factory PolicyFactory) ([]Measurement, error) {
-	return r.SuiteContext(context.Background(), r.opts.Config, factory)
-}
-
-// SuiteWithConfig is Suite with a config override.
-func (r *Runner) SuiteWithConfig(cfg core.Config, factory PolicyFactory) ([]Measurement, error) {
-	return r.SuiteContext(context.Background(), cfg, factory)
 }
 
 // SuiteContext runs every benchmark under the factory on the worker pool

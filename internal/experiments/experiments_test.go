@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hybriddtm/internal/core"
+	"hybriddtm/internal/stats"
 	"hybriddtm/internal/trace"
 )
 
@@ -53,11 +54,11 @@ func TestBaselineCaching(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.Options().Benchmarks[0]
-	a, err := r.Baseline(p)
+	a, err := r.BaselineContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Baseline(p)
+	b, err := r.BaselineContext(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunProducesSlowdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.Options().Benchmarks[0]
-	m, err := r.Run(p, DVSPolicy(r.Options().Config))
+	m, err := r.RunJobContext(context.Background(), Job{Config: r.Options().Config, Profile: p, Factory: DVSPolicy(r.Options().Config)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestSuiteOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := r.Suite(FGPolicy(opts.Config))
+	ms, err := r.SuiteContext(context.Background(), opts.Config, FGPolicy(opts.Config))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +187,19 @@ func TestFig4ResultHelpers(t *testing.T) {
 	f.Policies["Hyb"] = []float64{1.0}
 	if or := f.OverheadReduction("Hyb"); or != 0 {
 		t.Errorf("OverheadReduction with no overhead = %v", or)
+	}
+	// A single benchmark gets no paired t-test, so String prints no
+	// significance line rather than the zero result's "p=0".
+	one := Fig4Result{Stall: true, Benchmarks: []string{"gzip"}, Policies: map[string][]float64{}}
+	for _, p := range Fig4PolicyOrder {
+		one.Policies[p] = []float64{1.1}
+	}
+	if s := one.String(); strings.Contains(s, "vs DVS") || strings.Contains(s, "significant") {
+		t.Errorf("single-benchmark Fig4 claims significance:\n%s", s)
+	}
+	one.VsDVS = map[string]stats.PairedTTestResult{"Hyb": {}}
+	if s := one.String(); !strings.Contains(s, "\nHyb vs DVS") || strings.Contains(s, "PI-Hyb vs DVS") {
+		t.Errorf("String must print exactly the tested policies' lines:\n%s", s)
 	}
 }
 

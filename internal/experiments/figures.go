@@ -300,7 +300,10 @@ func (f Fig4Result) String() string {
 		}
 	}
 	for _, p := range []string{"PI-Hyb", "Hyb"} {
-		t := f.VsDVS[p]
+		t, ok := f.VsDVS[p]
+		if !ok { // Fig4 ran no paired test (fewer than 2 benchmarks)
+			continue
+		}
 		fmt.Fprintf(&b, "%s vs DVS: Δmean %+.4f, overhead reduction %.1f%%, p=%.4g (99%% significant: %v)\n",
 			p, t.MeanDiff, 100*f.OverheadReduction(p), t.P, t.SignificantAt(0.99))
 	}

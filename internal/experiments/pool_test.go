@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"log/slog"
 	"reflect"
 	"strings"
 	"sync"
@@ -75,7 +77,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ms, err := r.Suite(DVSPolicy(o.Config))
+		ms, err := r.SuiteContext(context.Background(), o.Config, DVSPolicy(o.Config))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +100,7 @@ func TestSuiteParallelMatchesSerial(t *testing.T) {
 func TestBaselineSingleflight(t *testing.T) {
 	var buf bytes.Buffer
 	opts := tinyOptions(t)
-	opts.Log = &buf
+	opts.Logger = debugLogger(&buf)
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestBaselineSingleflight(t *testing.T) {
 	for i := 0; i < goroutines; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = r.Baseline(prof)
+			results[i], errs[i] = r.BaselineContext(context.Background(), prof)
 		}(i)
 	}
 	wg.Wait()
@@ -162,7 +164,7 @@ func TestRunJobsFirstErrorCancels(t *testing.T) {
 func TestRunJobsObservesCancellation(t *testing.T) {
 	var buf bytes.Buffer
 	opts := tinyOptions(t)
-	opts.Log = &buf
+	opts.Logger = debugLogger(&buf)
 	r, err := NewRunner(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +180,7 @@ func TestRunJobsObservesCancellation(t *testing.T) {
 	}
 	// A canceled baseline must not poison the cache: a live context after
 	// the canceled one recomputes and succeeds.
-	if _, err := r.Baseline(opts.Benchmarks[0]); err != nil {
+	if _, err := r.BaselineContext(context.Background(), opts.Benchmarks[0]); err != nil {
 		t.Errorf("baseline after canceled attempt: %v", err)
 	}
 }
@@ -271,4 +273,10 @@ func TestSharedRegistryUnderPool(t *testing.T) {
 	if got := reg.Gauge(obs.MetricPoolActive).Value(); got != 0 {
 		t.Errorf("%s = %v, want 0 after pool drain", obs.MetricPoolActive, got)
 	}
+}
+
+// debugLogger logs every level to w as slog text, so tests can count the
+// per-run "run" records.
+func debugLogger(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: slog.LevelDebug}))
 }

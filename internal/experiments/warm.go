@@ -122,8 +122,8 @@ func (r *Runner) releaseWarm(b *warmBatch) {
 
 // newSim builds one run's simulator. A consumer the batch counted for this
 // config's warm key forks the shared warm state, computing it first if no
-// sibling has; without a batch (Run, RunWithConfig, RunJobContext) it
-// builds a fresh simulator.
+// sibling has; without a batch (RunJobContext) it builds a fresh
+// simulator.
 func (r *Runner) newSim(ctx context.Context, b *warmBatch, cfg core.Config, prof trace.Profile, pol dtm.Policy) (*core.Simulator, error) {
 	if b == nil {
 		return core.New(cfg, prof, pol)

@@ -28,8 +28,8 @@ func twoBenchOptions(t *testing.T) Options {
 	return opts
 }
 
-// direct computes a job's slowdown on a fresh runner through Run, which
-// never shares warm state: plain core.New for the baseline and the policy.
+// direct computes a job's slowdown on a fresh runner through
+// RunJobContext, which never shares warm state: plain core.New for the baseline and the policy.
 func direct(t *testing.T, opts Options, job Job) float64 {
 	t.Helper()
 	opts.Workers = 1
@@ -37,7 +37,7 @@ func direct(t *testing.T, opts Options, job Job) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := r.RunWithConfig(job.Config, job.Profile, job.Factory)
+	m, err := r.RunJobContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

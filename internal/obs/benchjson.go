@@ -205,13 +205,22 @@ type BenchDelta struct {
 // direction metadata wins) and flags any metric that moved in its worse
 // direction by more than threshold (e.g. 0.10 for 10%). only, when
 // non-empty, restricts the comparison to those metric names — CI gates on
-// throughput alone, since latency percentiles are noisier across hosts.
-// Deltas come back in metric-name order; regressed reports whether any
-// delta was flagged.
-func CompareBench(base, head BenchSnapshot, threshold float64, only []string) (deltas []BenchDelta, regressed bool) {
+// throughput alone, since latency percentiles are noisier across hosts —
+// and every named metric absent from either snapshot comes back in
+// missing, in the order named, as "name (not in base|head)", so a gate
+// cannot pass without the number it gates on. Deltas come back in
+// metric-name order;
+// regressed reports whether any delta was flagged.
+func CompareBench(base, head BenchSnapshot, threshold float64, only []string) (deltas []BenchDelta, missing []string, regressed bool) {
 	want := make(map[string]bool, len(only))
 	for _, name := range only {
 		want[name] = true
+		if _, ok := base.Metric(name); !ok {
+			missing = append(missing, name+" (not in base)")
+		}
+		if _, ok := head.Metric(name); !ok {
+			missing = append(missing, name+" (not in head)")
+		}
 	}
 	for _, hm := range head.Metrics {
 		if len(want) > 0 && !want[hm.Name] {
@@ -236,7 +245,7 @@ func CompareBench(base, head BenchSnapshot, threshold float64, only []string) (d
 		}
 		deltas = append(deltas, d)
 	}
-	return deltas, regressed
+	return deltas, missing, regressed
 }
 
 // FormatDeltas renders a comparison as an aligned table.

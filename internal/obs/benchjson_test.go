@@ -2,6 +2,7 @@ package obs
 
 import (
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
 	"testing"
@@ -68,7 +69,7 @@ func TestCompareBench(t *testing.T) {
 	base := testSnapshot(t, 1e6)
 	head := testSnapshot(t, 8e5) // 20% throughput drop
 
-	deltas, regressed := CompareBench(base, head, 0.10, nil)
+	deltas, _, regressed := CompareBench(base, head, 0.10, nil)
 	if !regressed {
 		t.Fatalf("20%% throughput drop not flagged at 10%% threshold:\n%s", FormatDeltas(deltas))
 	}
@@ -92,20 +93,25 @@ func TestCompareBench(t *testing.T) {
 	}
 
 	// Within threshold: no flag.
-	if _, reg := CompareBench(base, head, 0.25, nil); reg {
+	if _, _, reg := CompareBench(base, head, 0.25, nil); reg {
 		t.Error("20% drop flagged at 25% threshold")
 	}
 	// Filtered to an unaffected metric: no flag.
-	if ds, reg := CompareBench(base, head, 0.10, []string{"pool.jobs_per_sec"}); reg || len(ds) != 1 {
+	if ds, _, reg := CompareBench(base, head, 0.10, []string{"pool.jobs_per_sec"}); reg || len(ds) != 1 {
 		t.Errorf("filtered compare = %d deltas, regressed=%v", len(ds), reg)
+	}
+	// A named metric absent from one snapshot is reported, not skipped.
+	ds, missing, _ := CompareBench(base, head, 0.10, []string{"sim.insts_per_sec", "serve.jobs_per_sec"})
+	if len(ds) != 1 || !reflect.DeepEqual(missing, []string{"serve.jobs_per_sec (not in base)", "serve.jobs_per_sec (not in head)"}) {
+		t.Errorf("compare with a missing metric = %d deltas, missing %q", len(ds), missing)
 	}
 	// Lower-is-better direction: a latency increase is a regression.
 	lbase := BenchSnapshot{Kind: KindBench, Schema: 1, Metrics: []BenchMetric{{Name: "pool.job_s_p99", Value: 1, Better: BetterLower}}}
 	lhead := BenchSnapshot{Kind: KindBench, Schema: 1, Metrics: []BenchMetric{{Name: "pool.job_s_p99", Value: 1.5, Better: BetterLower}}}
-	if _, reg := CompareBench(lbase, lhead, 0.10, nil); !reg {
+	if _, _, reg := CompareBench(lbase, lhead, 0.10, nil); !reg {
 		t.Error("50% latency increase not flagged")
 	}
-	if _, reg := CompareBench(lhead, lbase, 0.10, nil); reg {
+	if _, _, reg := CompareBench(lhead, lbase, 0.10, nil); reg {
 		t.Error("latency improvement flagged as regression")
 	}
 }

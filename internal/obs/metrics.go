@@ -4,7 +4,7 @@
 // a single atomic op, so sixteen concurrent simulations hammering one
 // registry contend only at the cache-line level. MetricsTracer adapts the
 // registry to the Tracer interface so the same event stream that feeds
-// trace sinks also feeds aggregate counters.
+// trace sinks also feeds aggregate counters, one update per finished run.
 package obs
 
 import (
@@ -75,15 +75,14 @@ func (g *Gauge) Add(x float64) {
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates observations into exponential buckets. It tracks
-// count, sum, min and max exactly; quantiles are bucket-resolution
+// count, sum and max exactly; quantiles are bucket-resolution
 // approximations, which is plenty for job-latency style distributions.
 type Histogram struct {
 	bounds []float64 // upper bounds, ascending; implicit +Inf last
 	counts []atomic.Int64
 	count  atomic.Int64
 	sum    FloatCounter
-	min    atomic.Uint64 // float bits; CAS-maintained
-	max    atomic.Uint64
+	max    atomic.Uint64 // float bits; CAS-maintained
 }
 
 // DefaultLatencyBuckets spans 1 ms .. ~17 min in ×2 steps — wide enough
@@ -115,7 +114,6 @@ func newHistogram(bounds []float64) *Histogram {
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Int64, len(bounds)+1),
 	}
-	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
 }
@@ -126,12 +124,6 @@ func (h *Histogram) Observe(x float64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(x)
-	for {
-		old := h.min.Load()
-		if x >= math.Float64frombits(old) || h.min.CompareAndSwap(old, math.Float64bits(x)) {
-			break
-		}
-	}
 	for {
 		old := h.max.Load()
 		if x <= math.Float64frombits(old) || h.max.CompareAndSwap(old, math.Float64bits(x)) {
@@ -178,9 +170,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return math.Float64frombits(h.max.Load())
 }
-
-// Min returns the smallest observation (+Inf with no data).
-func (h *Histogram) Min() float64 { return math.Float64frombits(h.min.Load()) }
 
 // Max returns the largest observation (-Inf with no data).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
@@ -459,7 +448,7 @@ func Serve(ctx context.Context, addr string, r *Registry) (string, func() error,
 // Metric names recorded by MetricsTracer and the experiment pool. Keeping
 // them as constants makes the summary table and tests typo-proof.
 const (
-	MetricEvents         = "sim.events"              // counter: events emitted across all runs
+	MetricEvents         = "sim.events"              // counter: events emitted across all finished runs
 	MetricThermalSteps   = "sim.thermal_steps"       // counter: thermal RC steps
 	MetricDVSSwitches    = "sim.dvs_switches"        // counter: DVS transitions started
 	MetricStallSeconds   = "sim.stall_s"             // float: simulated seconds stalled in DVS switches
@@ -467,7 +456,7 @@ const (
 	MetricClockStopSecs  = "sim.clockstop_s"         // float: simulated seconds with the clock stopped
 	MetricEmergencySecs  = "sim.emergency_s"         // float: simulated seconds above the emergency threshold
 	MetricCrossings      = "sim.trigger_crossings"   // counter: upward trigger crossings
-	MetricRuns           = "sim.runs"                // counter: simulation runs traced
+	MetricRuns           = "sim.runs"                // counter: simulation runs traced to their end
 	MetricInstructions   = "sim.instructions"        // counter: instructions committed inside measurement windows
 	MetricPoolJobs       = "pool.jobs_done"          // counter: pool jobs completed
 	MetricPoolJobSeconds = "pool.job_s"              // histogram: per-job wall-clock latency
@@ -499,12 +488,12 @@ const (
 )
 
 // MetricsTracer adapts a Registry to the Tracer interface: it folds the
-// event stream of one run into shared aggregate counters. Create one per
-// run (Begin captures the run's trigger threshold); any number of
-// instances may share a Registry concurrently.
+// event stream of one run into its own Tally and adds that tally to the
+// shared aggregate counters once, in End, so Emit touches no registry
+// metric. Create one per run (Begin resets the tally to the run's
+// thresholds); any number of instances may share a Registry concurrently.
 type MetricsTracer struct {
-	trigger   float64
-	emergency float64
+	tally Tally
 
 	events, steps, dvs, crossings, runs *Counter
 	stall, trig, clock, emerg           *FloatCounter
@@ -525,41 +514,24 @@ func NewMetricsTracer(reg *Registry) *MetricsTracer {
 	}
 }
 
-// Begin records the run and its thresholds.
+// Begin starts a fresh tally at the run's thresholds.
 func (m *MetricsTracer) Begin(meta Meta) {
-	m.trigger = meta.Trigger
-	m.emergency = meta.Emergency
+	m.tally = Tally{Trigger: meta.Trigger, Emergency: meta.Emergency}
+}
+
+// Emit folds one event into the run's tally.
+func (m *MetricsTracer) Emit(ev *Event) { m.tally.Add(ev) }
+
+// End publishes the run's tally to the registry.
+func (m *MetricsTracer) End() {
+	t := &m.tally
 	m.runs.Inc()
+	m.events.Add(t.Events)
+	m.steps.Add(t.Steps)
+	m.dvs.Add(t.DVSSwitches)
+	m.crossings.Add(t.TriggerCrossings)
+	m.stall.Add(t.Stalled)
+	m.trig.Add(t.AboveTrigger)
+	m.clock.Add(t.ClockStopped)
+	m.emerg.Add(t.AboveEmergency)
 }
-
-// Emit folds one event into the registry.
-func (m *MetricsTracer) Emit(ev *Event) {
-	m.events.Inc()
-	switch ev.Kind {
-	case KindStep:
-		m.steps.Inc()
-		if ev.MaxTemp > m.trigger {
-			m.trig.Add(ev.Dt)
-		}
-		if ev.MaxTemp > m.emergency {
-			m.emerg.Add(ev.Dt)
-		}
-		if ev.Stalled {
-			m.stall.Add(ev.Dt)
-		}
-		if ev.ClockStop {
-			m.clock.Add(ev.Dt)
-		}
-	case KindActuation:
-		if ev.SwitchStarted {
-			m.dvs.Inc()
-		}
-	case KindCrossing:
-		if ev.Threshold == "trigger" && ev.Above {
-			m.crossings.Inc()
-		}
-	}
-}
-
-// End is a no-op; the registry is the durable output.
-func (m *MetricsTracer) End() {}

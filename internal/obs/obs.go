@@ -121,6 +121,75 @@ type Tracer interface {
 	End()
 }
 
+// Tally is the one fold of an event stream into DTM residency and
+// counts. Every reader of the stream accumulates through Add:
+// report.TraceSummary embeds a Tally per trace, and MetricsTracer folds
+// each run into its own and publishes it to a Registry in End. Set
+// Trigger and Emergency from the run's Meta before the first Add.
+type Tally struct {
+	Trigger   float64 // °C
+	Emergency float64 // °C
+
+	Events int64 // events folded
+	Steps  int64 // thermal step events
+
+	// Residency, in simulated seconds summed over step events.
+	Duration       float64 // total stepped time
+	AboveTrigger   float64 // max temp above the trigger threshold
+	AboveEmergency float64 // max temp above the emergency threshold
+	Gated          float64 // fetch gate engaged (gate > 0)
+	LowV           float64 // DVS level above nominal (level > 0)
+	ClockStopped   float64
+	Stalled        float64 // inside a DVS switch stall
+
+	// Actuation/crossing counts.
+	DVSSwitches      int64 // DVS transitions started
+	TriggerCrossings int64 // upward trigger crossings
+	EmergencyUp      int64 // upward emergency crossings
+}
+
+// Add folds one event into the tally. An event of a kind it does not
+// know is counted and accumulates nothing.
+func (t *Tally) Add(ev *Event) {
+	t.Events++
+	switch ev.Kind {
+	case KindStep:
+		t.Steps++
+		t.Duration += ev.Dt
+		if ev.MaxTemp > t.Trigger {
+			t.AboveTrigger += ev.Dt
+		}
+		if ev.MaxTemp > t.Emergency {
+			t.AboveEmergency += ev.Dt
+		}
+		if ev.GateFrac > 0 {
+			t.Gated += ev.Dt
+		}
+		if ev.Level > 0 {
+			t.LowV += ev.Dt
+		}
+		if ev.ClockStop {
+			t.ClockStopped += ev.Dt
+		}
+		if ev.Stalled {
+			t.Stalled += ev.Dt
+		}
+	case KindActuation:
+		if ev.SwitchStarted {
+			t.DVSSwitches++
+		}
+	case KindCrossing:
+		if ev.Above {
+			switch ev.Threshold {
+			case "trigger":
+				t.TriggerCrossings++
+			case "emergency":
+				t.EmergencyUp++
+			}
+		}
+	}
+}
+
 // multi fans events out to several tracers in order.
 type multi struct{ ts []Tracer }
 
@@ -214,13 +283,6 @@ func (r *Ring) Emit(ev *Event) {
 	}
 }
 
-// Meta returns the run metadata seen in Begin.
-func (r *Ring) Meta() Meta {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.meta
-}
-
 // Total returns how many events were emitted over the run (not just the
 // retained tail).
 func (r *Ring) Total() uint64 {
@@ -229,25 +291,11 @@ func (r *Ring) Total() uint64 {
 	return r.total
 }
 
-// Events returns the retained events, oldest first. The returned slice
-// aliases the ring's storage; it is invalidated by further Emit calls.
-func (r *Ring) Events() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return r.buf[:r.next]
-	}
-	out := make([]Event, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // Snapshot returns the run metadata and a deep copy of the retained
-// events, oldest first. Unlike Events, the copy shares no storage with
-// the ring (the per-event Temps/Power/Readings slices are duplicated), so
-// it stays valid — and race-free — while the simulator keeps emitting.
-// It is the accessor for concurrent readers like the serve dashboard.
+// events, oldest first. The copy shares no storage with the ring (the
+// per-event Temps/Power/Readings slices are duplicated), so it stays
+// valid — and race-free — while the simulator keeps emitting. It is the
+// ring's one reader, used by the serve dashboard.
 func (r *Ring) Snapshot() (Meta, []Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -267,15 +315,4 @@ func (r *Ring) Snapshot() (Meta, []Event) {
 		out[i].Readings = append([]float64(nil), ordered[i].Readings...)
 	}
 	return r.meta, out
-}
-
-// Drain replays the retained events, oldest first, into another tracer
-// (typically a sink) bracketed by Begin/End.
-func (r *Ring) Drain(t Tracer) {
-	t.Begin(r.Meta())
-	events := r.Events()
-	for i := range events {
-		t.Emit(&events[i])
-	}
-	t.End()
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"reflect"
 	"testing"
 )
 
@@ -76,7 +75,7 @@ func TestRingRetainsTail(t *testing.T) {
 	if r.Total() != 5 {
 		t.Errorf("Total = %d, want 5", r.Total())
 	}
-	got := r.Events()
+	meta, got := r.Snapshot()
 	if len(got) != 3 {
 		t.Fatalf("retained %d events, want 3", len(got))
 	}
@@ -85,8 +84,8 @@ func TestRingRetainsTail(t *testing.T) {
 			t.Errorf("event %d: Step = %d, want %d (oldest first)", i, got[i].Step, want)
 		}
 	}
-	if r.Meta().Policy != "Hyb" {
-		t.Errorf("Meta.Policy = %q", r.Meta().Policy)
+	if meta.Policy != "Hyb" {
+		t.Errorf("Meta.Policy = %q", meta.Policy)
 	}
 }
 
@@ -94,9 +93,9 @@ func TestRingPartialFill(t *testing.T) {
 	r := NewRing(8)
 	ev := Event{Kind: KindSensor, Step: 1}
 	r.Emit(&ev)
-	got := r.Events()
+	_, got := r.Snapshot()
 	if len(got) != 1 || got[0].Step != 1 {
-		t.Fatalf("Events() = %+v, want the single emitted event", got)
+		t.Fatalf("Snapshot() = %+v, want the single emitted event", got)
 	}
 }
 
@@ -109,29 +108,9 @@ func TestRingCopiesBorrowedSlices(t *testing.T) {
 	ev := Event{Kind: KindStep, Temps: scratch, Power: scratch}
 	r.Emit(&ev)
 	scratch[0] = -1 // simulator overwrites its buffer for the next step
-	got := r.Events()[0]
+	_, events := r.Snapshot()
+	got := events[0]
 	if got.Temps[0] != 70.0 || got.Power[0] != 70.0 {
 		t.Errorf("ring aliased the borrowed slice: temps=%v power=%v", got.Temps, got.Power)
-	}
-}
-
-func TestRingDrain(t *testing.T) {
-	r := NewRing(2)
-	r.Begin(Meta{Benchmark: "gzip", Policy: "FG"})
-	for i := 0; i < 3; i++ {
-		ev := Event{Kind: KindStep, Step: uint64(i)}
-		r.Emit(&ev)
-	}
-	var rec recorder
-	r.Drain(&rec)
-	if rec.begun != 1 || rec.ended != 1 {
-		t.Fatalf("Drain must bracket with Begin/End: begun=%d ended=%d", rec.begun, rec.ended)
-	}
-	if rec.meta.Benchmark != "gzip" {
-		t.Errorf("Drain meta = %+v", rec.meta)
-	}
-	steps := []uint64{rec.events[0].Step, rec.events[1].Step}
-	if !reflect.DeepEqual(steps, []uint64{1, 2}) {
-		t.Errorf("Drain order = %v, want [1 2]", steps)
 	}
 }

@@ -41,7 +41,7 @@ func TestRingConcurrentEmit(t *testing.T) {
 	if got := ring.Total(); got != goroutines*perG {
 		t.Errorf("ring total = %d, want %d", got, goroutines*perG)
 	}
-	events := ring.Events()
+	_, events := ring.Snapshot()
 	if len(events) != 64 {
 		t.Fatalf("retained %d events, want 64", len(events))
 	}

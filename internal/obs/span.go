@@ -76,9 +76,6 @@ func NewSpanSet(trace string, epoch time.Time) *SpanSet {
 	return &SpanSet{trace: trace, epoch: epoch, index: make(map[string]int, 8)}
 }
 
-// Trace returns the trace id.
-func (ss *SpanSet) Trace() string { return ss.trace }
-
 // since converts an instant into a non-negative epoch offset. The clamp
 // protects against callers passing a time captured before the epoch.
 func (ss *SpanSet) since(t time.Time) float64 {

@@ -118,13 +118,6 @@ func (s Stage) Group() string {
 	return ""
 }
 
-// StageNames returns every stage name in document order.
-func StageNames() []string {
-	out := make([]string, numStages)
-	copy(out, stageNames[:])
-	return out
-}
-
 // StageGroups returns the coarse group names in document order.
 func StageGroups() []string {
 	return []string{StageGroupCPU, StageGroupPower, StageGroupThermal, StageGroupPolicy, StageGroupTrace}

@@ -136,7 +136,7 @@ func TestStageProfilerPublish(t *testing.T) {
 	}
 	// Every stage publishes both gauges, and the exposition stays valid.
 	snap := reg.Snapshot()
-	if want := 2 * len(StageNames()); len(snap) != want {
+	if want := 2 * int(numStages); len(snap) != want {
 		t.Errorf("published %d metrics, want %d", len(snap), want)
 	}
 	var b strings.Builder
@@ -214,7 +214,7 @@ func TestStageProfileValidate(t *testing.T) {
 }
 
 func TestStageNamesAndGroups(t *testing.T) {
-	names := StageNames()
+	names := stageNames[:]
 	want := []string{
 		"cpu.commit", "cpu.issue_int", "cpu.issue_fp", "cpu.issue_mem",
 		"cpu.dispatch", "cpu.fetch", "bpred", "cache",

@@ -18,8 +18,7 @@ func SummarizeEvents(meta obs.Meta, events []obs.Event, name string) TraceSummar
 		Benchmark: meta.Benchmark,
 		Policy:    meta.Policy,
 		Blocks:    meta.Blocks,
-		Trigger:   meta.Trigger,
-		Emergency: meta.Emergency,
+		Tally:     obs.Tally{Trigger: meta.Trigger, Emergency: meta.Emergency},
 	}
 	for i := range events {
 		sum.fold(&events[i])

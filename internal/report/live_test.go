@@ -1,7 +1,10 @@
 package report
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +64,67 @@ func TestSummarizeEventsMatchesReadTrace(t *testing.T) {
 	batch.Events, live.Events = 0, 0
 	if !reflect.DeepEqual(batch, live) {
 		t.Errorf("live summary diverged from batch summary:\nbatch: %+v\nlive:  %+v", batch, live)
+	}
+}
+
+// TestMetricsTracerMatchesReadTrace replays the bzip2/hyb golden trace
+// through ReadTrace and through a MetricsTracer on a fresh registry: both
+// fold the stream with obs.Tally, so every sim.* counter the tracer
+// publishes equals the matching summary field exactly.
+func TestMetricsTracerMatchesReadTrace(t *testing.T) {
+	const golden = "../core/testdata/trace_bzip2_hyb.jsonl"
+	sum, err := ReadTraceFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reg := obs.NewRegistry()
+	m := obs.NewMetricsTracer(reg)
+	sc := bufio.NewScanner(f)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	for sc.Scan() {
+		var rec traceRec
+		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		switch rec.Ev {
+		case "begin":
+			m.Begin(obs.Meta{Trigger: rec.TriggerC, Emergency: rec.EmergC})
+		case "end":
+			m.End()
+		default:
+			ev := rec.event()
+			m.Emit(&ev)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if sum.Steps == 0 || sum.TriggerCrossings == 0 || sum.AboveTrigger == 0 || sum.Gated == 0 {
+		t.Fatalf("golden trace exercises too little of the fold: %+v", sum.Tally)
+	}
+	checks := []struct {
+		name      string
+		got, want float64
+	}{
+		{obs.MetricRuns, float64(reg.Counter(obs.MetricRuns).Value()), 1},
+		{obs.MetricEvents, float64(reg.Counter(obs.MetricEvents).Value()), float64(sum.Events)},
+		{obs.MetricThermalSteps, float64(reg.Counter(obs.MetricThermalSteps).Value()), float64(sum.Steps)},
+		{obs.MetricDVSSwitches, float64(reg.Counter(obs.MetricDVSSwitches).Value()), float64(sum.DVSSwitches)},
+		{obs.MetricCrossings, float64(reg.Counter(obs.MetricCrossings).Value()), float64(sum.TriggerCrossings)},
+		{obs.MetricTriggerSeconds, reg.FloatCounter(obs.MetricTriggerSeconds).Value(), sum.AboveTrigger},
+		{obs.MetricEmergencySecs, reg.FloatCounter(obs.MetricEmergencySecs).Value(), sum.AboveEmergency},
+		{obs.MetricStallSeconds, reg.FloatCounter(obs.MetricStallSeconds).Value(), sum.Stalled},
+		{obs.MetricClockStopSecs, reg.FloatCounter(obs.MetricClockStopSecs).Value(), sum.ClockStopped},
+	}
+	for _, c := range checks {
+		if c.got != c.want {
+			t.Errorf("%s = %v, summary has %v", c.name, c.got, c.want)
+		}
 	}
 }
 

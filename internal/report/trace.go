@@ -1,9 +1,10 @@
 // Trace ingestion: dtmreport's reader for the schema-v1 JSONL event
 // stream (see internal/obs/sink.go). The reader decodes each record into
-// an obs.Event and feeds it to fold, the one aggregation of events into
-// what the report renders — a thermal/actuation timeline plus DTM
-// residency and switch counts. SummarizeEvents (live.go) runs the same
-// fold over in-memory events. Raw events are not retained, so a
+// an obs.Event and feeds it to fold, which keeps the thermal/actuation
+// timeline the report renders and adds the event to the summary's
+// obs.Tally — the one aggregation of events into DTM residency and
+// switch counts. SummarizeEvents (live.go) runs the same fold over
+// in-memory events. Raw events are not retained, so a
 // multi-gigabyte trace summarizes in one streaming pass.
 package report
 
@@ -26,33 +27,21 @@ type TracePoint struct {
 	Level   int     // applied DVS ladder level
 }
 
-// TraceSummary is the aggregate of one JSONL trace file.
+// TraceSummary is the aggregate of one JSONL trace file: its header,
+// a downsampled timeline, and the obs.Tally of its events (thresholds,
+// event count — the footer count when present — residency and switch
+// counts), whose fields it promotes.
 type TraceSummary struct {
 	File      string // base name of the source file
 	Schema    int
 	Benchmark string
 	Policy    string
 	Blocks    []string
-	Trigger   float64 // °C
-	Emergency float64 // °C
 
-	Events int64 // event records (footer count when present)
+	obs.Tally
 
 	// Timeline, downsampled to at most maxTimelinePoints step samples.
 	Points []TracePoint
-
-	// Residency, in simulated seconds summed over step events.
-	Duration     float64 // total stepped time
-	AboveTrigger float64 // max temp above the trigger threshold
-	Gated        float64 // fetch gate engaged (gate > 0)
-	LowV         float64 // DVS level above nominal (level > 0)
-	ClockStopped float64
-	Stalled      float64 // inside a DVS switch stall
-
-	// Actuation/crossing counts.
-	DVSSwitches      int64 // DVS transitions started
-	TriggerCrossings int64 // upward trigger crossings
-	EmergencyUp      int64 // upward emergency crossings
 }
 
 // maxTimelinePoints bounds the samples kept for SVG rendering; longer
@@ -82,50 +71,29 @@ type traceRec struct {
 	Events    int64   `json:"events"`
 }
 
-// fold accumulates one event into the summary: the event count, the
-// timeline point and residency buckets of a step, the DVS switch count,
-// and the upward crossing counts. Every trace source summarizes through
-// it, then downsamples the timeline once the last event is in.
+// fold adds one event to the summary's tally and, for a step, to its
+// timeline. Every trace source summarizes through it, then downsamples
+// the timeline once the last event is in.
 func (s *TraceSummary) fold(ev *obs.Event) {
-	s.Events++
-	switch ev.Kind {
-	case obs.KindStep:
+	s.Add(ev)
+	if ev.Kind == obs.KindStep {
 		s.Points = append(s.Points, TracePoint{T: ev.Time, MaxTemp: ev.MaxTemp, Gate: ev.GateFrac, Level: ev.Level})
-		s.Duration += ev.Dt
-		if ev.MaxTemp > s.Trigger {
-			s.AboveTrigger += ev.Dt
-		}
-		if ev.GateFrac > 0 {
-			s.Gated += ev.Dt
-		}
-		if ev.Level > 0 {
-			s.LowV += ev.Dt
-		}
-		if ev.ClockStop {
-			s.ClockStopped += ev.Dt
-		}
-		if ev.Stalled {
-			s.Stalled += ev.Dt
-		}
-	case obs.KindActuation:
-		if ev.SwitchStarted {
-			s.DVSSwitches++
-		}
-	case obs.KindCrossing:
-		if ev.Above {
-			switch ev.Threshold {
-			case "trigger":
-				s.TriggerCrossings++
-			case "emergency":
-				s.EmergencyUp++
-			}
-		}
+	}
+}
+
+// event maps an event record back onto the obs.Event fields the fold
+// reads.
+func (rec *traceRec) event() obs.Event {
+	return obs.Event{
+		Kind: kindOf(rec.Ev), Time: rec.T, Dt: rec.Dt, MaxTemp: rec.MaxT,
+		GateFrac: rec.Gate, Level: rec.Level, ClockStop: rec.ClockStop, Stalled: rec.Stalled,
+		SwitchStarted: rec.Switch, Threshold: rec.Threshold, Above: rec.Above,
 	}
 }
 
 // kindOf maps a record's "ev" tag onto its obs.Kind. A tag this reader
 // does not know, such as a kind a newer writer adds, lands past the last
-// known kind, where fold counts it and accumulates nothing.
+// known kind, where the tally counts it and accumulates nothing.
 func kindOf(tag string) obs.Kind {
 	k := obs.KindStep
 	for name := k.String(); name != tag && name != "unknown"; name = k.String() {
@@ -163,11 +131,8 @@ func ReadTrace(r io.Reader, name string) (TraceSummary, error) {
 		case "end":
 			footer = rec.Events
 		default:
-			sum.fold(&obs.Event{
-				Kind: kindOf(rec.Ev), Time: rec.T, Dt: rec.Dt, MaxTemp: rec.MaxT,
-				GateFrac: rec.Gate, Level: rec.Level, ClockStop: rec.ClockStop, Stalled: rec.Stalled,
-				SwitchStarted: rec.Switch, Threshold: rec.Threshold, Above: rec.Above,
-			})
+			ev := rec.event()
+			sum.fold(&ev)
 		}
 	}
 	if err := sc.Err(); err != nil {

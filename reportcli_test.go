@@ -190,4 +190,11 @@ func TestDtmreportGolden(t *testing.T) {
 	if !strings.Contains(string(out), "fastest-growing stage: thermal") {
 		t.Errorf("gate failure does not name the suspect stage:\n%s", out)
 	}
+
+	// A named metric the snapshots lack fails the gate, by name.
+	out, err = exec.Command(bins["dtmreport"], "-compare-base", base, "-compare-head", base,
+		"-compare-metrics", "sim.insts_per_sec,serve.jobs_per_sec").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "serve.jobs_per_sec (not in base)") {
+		t.Errorf("gate on a missing metric: err=%v, want exit 1 naming it:\n%s", err, out)
+	}
 }
