@@ -1,22 +1,23 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"hybriddtm/internal/cpu"
 	"hybriddtm/internal/dtm"
 	"hybriddtm/internal/dvfs"
-	"hybriddtm/internal/sensor"
 )
 
 // TestCoupledStepAllocationFree pins the zero-allocation contract of the
-// coupled-loop step pipeline: once the simulator is warm (buffers sized,
-// thermal factorizations cached), one full step — execute, map activity to
+// coupled-loop step: once the simulator is warm (buffers sized, thermal
+// factorizations cached), one full step — execute, map activity to
 // blocks, evaluate power, advance the thermal model, read sensors, run the
-// policy — must not touch the heap. The hot loop runs this pipeline every
-// 10k simulated cycles, so a single stray allocation multiplies into GC
-// pressure across the paper's billion-instruction sweeps.
+// policy — must not touch the heap, whether the run executes its own cpu
+// batch or follows a Cohort's shared one. The hot loop runs this step
+// every 10k simulated cycles, so a single stray allocation multiplies into
+// GC pressure across the paper's billion-instruction sweeps.
 func TestCoupledStepAllocationFree(t *testing.T) {
+	const budget = 1 << 40 // never reached: the window stays open
 	cfg := quickConfig()
 	ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
 	if err != nil {
@@ -30,44 +31,57 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A short run settles the simulator exactly like Run does: init
-	// steady state, warm caches, size every reusable buffer.
-	if _, err := sim.Run(200_000); err != nil {
+	if err := sim.start(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-
-	op := sim.ladder.Point(0)
-	dt := float64(cfg.ThermalStepCycles) / op.F
-	var act cpu.Activity
-	var activity, pvec, temps, readings []float64
-	temps = sim.tm.BlockTemps(temps)
-
-	step := func() {
-		act.Reset()
-		if _, err := sim.core.RunGated(uint64(cfg.ThermalStepCycles), cpu.Gates{}, &act); err != nil {
+	sim.begin(budget)
+	own := func() {
+		if err := sim.step(nil); err != nil {
 			t.Fatal(err)
 		}
-		activity, err = act.BlockActivity(sim.fp, activity)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvec, err = sim.pm.Compute(pvec, activity, 1, op.V, op.F, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.tm.Step(pvec, dt); err != nil {
-			t.Fatal(err)
-		}
-		temps = sim.tm.BlockTemps(temps)
-		readings, err = sim.bank.Read(readings, temps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = sim.policy.Sample(sensor.Max(readings), dt)
 	}
-	step() // size activity/pvec/readings before measuring
+	// A few steps size every reusable buffer, as the start of Run does.
+	for i := 0; i < 40; i++ {
+		own()
+	}
+	if allocs := testing.AllocsPerRun(50, own); allocs != 0 {
+		t.Errorf("own-core step allocates %.1f times per iteration, want 0", allocs)
+	}
 
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("coupled-loop step allocates %.1f times per iteration, want 0", allocs)
+	w, err := WarmUp(context.Background(), cfg, gzipProfile(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCohort(w, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var members []*Simulator
+	for i := 0; i < 2; i++ {
+		s, err := co.Join(cfg, gzipProfile(t), nil) // no DTM: never acts, never leaves
+		if err != nil {
+			t.Fatal(err)
+		}
+		members = append(members, s)
+	}
+	f, err := co.Fork(members, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	follow := func() {
+		if err := f.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 40; i++ {
+		follow()
+	}
+	for _, s := range members {
+		if s.Done() || !s.Idle() {
+			t.Fatal("a member left the cohort; the follow path is not measured")
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, follow); allocs != 0 {
+		t.Errorf("cohort step allocates %.1f times per iteration, want 0", allocs)
 	}
 }

@@ -189,12 +189,12 @@ type Result struct {
 // Violated reports whether the run ever exceeded the emergency threshold.
 func (r Result) Violated() bool { return r.EmergencyTime > 0 }
 
-// Simulator is a one-shot coupled simulation: construct with New (or fork
-// one from a Warm with NewFromWarm), call Run once.
+// Simulator is a one-shot coupled simulation: construct with New (or join
+// one to a Cohort), call Run once.
 type Simulator struct {
 	cfg    Config
 	fp     *floorplan.Floorplan
-	core   *cpu.Core
+	core   *cpu.Core // owned, or the core of the Cohort it follows
 	pm     *power.Model
 	tm     *hotspot.Model
 	bank   *sensor.Bank
@@ -202,8 +202,61 @@ type Simulator struct {
 	policy dtm.Policy
 	prof   trace.Profile
 
-	warm *Warm // the forked start state; nil means Run warms the core itself
+	warm *Warm // the shared start state; nil means Run warms the core itself
 	ran  bool
+	l    loop
+}
+
+// loop is a run's coupled-loop state between thermal steps. It lives on
+// the Simulator rather than in RunContext's locals so that a run can
+// follow a Cohort's shared core for a while and then go on alone from the
+// same step boundary.
+type loop struct {
+	begun, done, ended bool
+	instructions       uint64
+	res                Result
+
+	nomF         float64
+	stepCycles   uint64
+	samplePeriod float64
+	stepIdx      uint64
+
+	// Crossing state tracks the hottest *true* temperature against the
+	// thresholds so traces pinpoint when and for how long the chip sat
+	// above the trigger.
+	wasAboveTrigger, wasAboveEmergency bool
+	prevGate                           float64
+	prevClockStop                      bool
+
+	// Actuator state.
+	level          int
+	gates          cpu.Gates
+	clockStop      bool
+	stallRemaining float64 // DVS-stall in progress
+	pendingLevel   int     // DVS-ideal scheduled level, -1 when none
+	pendingAt      float64
+
+	wall            float64 // simulated seconds since the settle phase began
+	nextSample      float64
+	measuring       bool
+	settleTarget    uint64
+	startCommitted  uint64
+	startCycles     uint64
+	startWall       float64
+	committedTarget uint64
+
+	act                             cpu.Activity
+	activity, pvec, temps, readings []float64
+
+	maxTemp float64
+	hottest int
+	energy  float64
+}
+
+// idle is Simulator.Idle.
+func (l *loop) idle() bool {
+	return l.gates == (cpu.Gates{}) && l.level == 0 && !l.clockStop &&
+		stats.SameFloat(l.stallRemaining, 0) && l.pendingLevel < 0
 }
 
 // New assembles a simulator for one benchmark profile under one policy.
@@ -281,8 +334,20 @@ func (s *Simulator) Core() *cpu.Core { return s.core }
 // (see sensor.Bank.SetStuck).
 func (s *Simulator) Sensors() *sensor.Bank { return s.bank }
 
+// Steps returns the thermal steps the run has advanced so far.
+func (s *Simulator) Steps() uint64 { return s.l.stepIdx }
+
+// Done reports whether the run's measured window has completed.
+func (s *Simulator) Done() bool { return s.l.done }
+
+// Idle reports whether the run's actuators are all at rest: no gating,
+// the nominal DVS level, the clock running and no switch stalling or
+// pending. Until a run leaves this state its pipeline sees exactly what a
+// run without DTM sees, which is what lets a Cohort share one core.
+func (s *Simulator) Idle() bool { return s.l.idle() }
+
 // start brings the simulator to the state its run begins from: the warm
-// step (unless the simulator was forked from a Warm), then the apply step.
+// step (unless the simulator was built on a Warm), then the apply step.
 func (s *Simulator) start(ctx context.Context) error {
 	w := s.warm
 	if w == nil {
@@ -370,6 +435,56 @@ func (s *Simulator) apply(w *Warm) error {
 	return nil
 }
 
+// begin sets up the loop state at the first thermal step and opens the
+// run's trace. The simulator must have been brought to its start state.
+func (s *Simulator) begin(instructions uint64) {
+	l := &s.l
+	*l = loop{
+		begun:          true,
+		instructions:   instructions,
+		res:            Result{Benchmark: s.prof.Name, Policy: s.policy.Name()},
+		nomF:           s.ladder.Nominal().F,
+		stepCycles:     uint64(s.cfg.ThermalStepCycles),
+		samplePeriod:   s.cfg.Sensors.SamplePeriod(),
+		pendingLevel:   -1,
+		measuring:      s.cfg.SettleInstructions == 0,
+		settleTarget:   s.core.Committed() + s.cfg.SettleInstructions,
+		startCommitted: s.core.Committed(),
+		startCycles:    s.core.Cycle(),
+		maxTemp:        -1e9,
+	}
+	l.nextSample = l.samplePeriod
+	l.committedTarget = l.startCommitted + instructions
+	l.temps = s.tm.BlockTemps(nil)
+	if tr := s.cfg.Tracer; tr != nil {
+		blocks := make([]string, s.fp.NumBlocks())
+		for i := range blocks {
+			blocks[i] = s.fp.Block(i).Name
+		}
+		tr.Begin(obs.Meta{
+			Benchmark:         s.prof.Name,
+			Policy:            s.policy.Name(),
+			Blocks:            blocks,
+			ThermalStepCycles: s.cfg.ThermalStepCycles,
+			SamplePeriod:      l.samplePeriod,
+			Trigger:           s.cfg.Trigger,
+			Emergency:         s.cfg.EmergencyThreshold,
+		})
+	}
+}
+
+// Close ends the run's trace if it has begun and not yet ended. RunContext
+// ends it itself; Close is for a run abandoned while it followed a Cohort.
+func (s *Simulator) Close() {
+	if !s.l.begun || s.l.ended {
+		return
+	}
+	s.l.ended = true
+	if tr := s.cfg.Tracer; tr != nil {
+		tr.End()
+	}
+}
+
 // Run executes until the given number of instructions commit after warmup,
 // and returns the run summary.
 func (s *Simulator) Run(instructions uint64) (Result, error) {
@@ -382,6 +497,11 @@ func (s *Simulator) Run(instructions uint64) (Result, error) {
 // can abort a sweep promptly on the first error. A canceled run returns
 // ctx.Err() and leaves no partial Result.
 //
+// A simulator that has followed a Cohort goes on from the step where it
+// left it, on the core Fork gave it; instructions must be the cohort's
+// budget. One whose window completed inside the cohort returns its Result
+// at once.
+//
 //dtmlint:allocfree
 func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result, error) {
 	if instructions == 0 {
@@ -391,331 +511,316 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 		return Result{}, errors.New("core: Simulator.Run called twice; build a fresh Simulator per run")
 	}
 	s.ran = true
-	if err := s.start(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
-		return Result{}, err
-	}
-
-	res := Result{Benchmark: s.prof.Name, Policy: s.policy.Name()}
-	nomF := s.ladder.Nominal().F
-	stepCycles := uint64(s.cfg.ThermalStepCycles)
-	samplePeriod := s.cfg.Sensors.SamplePeriod()
-
-	// Observability: tr is hoisted so the disabled path is one nil check
-	// per emission site. Crossing state tracks the hottest *true*
-	// temperature against the thresholds so traces pinpoint when and for
-	// how long the chip sat above the trigger.
-	tr := s.cfg.Tracer
-	// sp follows the same hoisted-guard discipline; spActive caches the
-	// per-step sampling decision (StepTick) so unsampled steps pay the
-	// nil check alone.
-	sp := s.cfg.Profiler
-	spActive := false
-	var stepIdx uint64
-	wasAboveTrigger, wasAboveEmergency := false, false
-	prevGate, prevClockStop := 0.0, false
-	if tr != nil {
-		blocks := make([]string, s.fp.NumBlocks())
-		for i := range blocks {
-			blocks[i] = s.fp.Block(i).Name
+	if !s.l.begun {
+		if err := s.start(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
+			return Result{}, err
 		}
-		tr.Begin(obs.Meta{
-			Benchmark:         s.prof.Name,
-			Policy:            s.policy.Name(),
-			Blocks:            blocks,
-			ThermalStepCycles: s.cfg.ThermalStepCycles,
-			SamplePeriod:      samplePeriod,
-			Trigger:           s.cfg.Trigger,
-			Emergency:         s.cfg.EmergencyThreshold,
-		})
-		defer tr.End()
+		s.begin(instructions) //dtmlint:allow allocguard one-time init before the measured loop
+	} else if instructions != s.l.instructions {
+		return Result{}, fmt.Errorf("core: run began with a %d-instruction budget, not %d", s.l.instructions, instructions)
 	}
-
-	// Actuator state.
-	level := 0
-	gates := cpu.Gates{}
-	clockStop := false
-	var stallRemaining float64 // DVS-stall in progress
-	pendingLevel := -1         // DVS-ideal scheduled level
-	var pendingAt float64
-
-	wall := 0.0 // simulated seconds since the settle phase began
-	nextSample := samplePeriod
-	measuring := s.cfg.SettleInstructions == 0
-	settleTarget := s.core.Committed() + s.cfg.SettleInstructions
-	startCommitted := s.core.Committed()
-	startCycles := s.core.Cycle()
-	startWall := 0.0
-	committedTarget := startCommitted + instructions
-
-	var act cpu.Activity
-	var activity, pvec, temps, readings []float64
-	temps = s.tm.BlockTemps(temps)
-
-	maxTemp := -1e9
-	hottest := 0
-	var energy float64
-
-	for {
+	defer s.Close()
+	for !s.l.done {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		op := s.ladder.Point(level)
-		dt := float64(stepCycles) / op.F
-		clockFrac := 1.0
-		stalled := false
-		act.Reset()
+		if err := s.step(nil); err != nil {
+			return Result{}, err
+		}
+	}
+	return s.l.res, nil
+}
 
-		if sp != nil {
-			spActive = sp.StepTick()
-		}
-		if sp != nil && spActive {
-			sp.Begin(obs.StageCPUCommit) // opens the cpu pipeline window
-		}
-		switch {
-		case clockStop:
-			// Global clock stopped: no execution, no dynamic power at all.
-			clockFrac = 0
-			act.Cycles = 0
-		case stallRemaining > 0:
-			// DVS transition with pipeline stalled: clock runs (idle
-			// power), nothing executes.
-			stalled = true
-			if stallRemaining < dt {
-				dt = stallRemaining
-			}
-			stallRemaining -= dt
-		case sp != nil && spActive:
-			if _, err := s.core.RunGatedProfiled(stepCycles, gates, &act, sp); err != nil {
-				return Result{}, err
-			}
-		default:
-			if _, err := s.core.RunGated(stepCycles, gates, &act); err != nil {
-				return Result{}, err
-			}
-		}
-		if sp != nil && spActive {
-			sp.EndCPU()
-		}
+// step advances the run one thermal step. With shared nil the run executes
+// its own cpu batch; otherwise it follows a Cohort, whose core has already
+// run this step's batch ungated at nominal frequency and left its activity
+// in shared, and the run must not touch the core. On the step that
+// completes the measured window it fills in the Result and sets done.
+//
+//dtmlint:allocfree
+func (s *Simulator) step(shared *cpu.Activity) error {
+	l := &s.l
+	op := s.ladder.Point(l.level)
+	dt := float64(l.stepCycles) / op.F
+	clockFrac := 1.0
+	stalled := false
+	act := &l.act
+	act.Reset()
 
-		var err error
-		if sp != nil && spActive {
-			sp.Begin(obs.StagePowerCompute)
+	// Observability: tr is hoisted so the disabled path is one nil check
+	// per emission site. sp follows the same hoisted-guard discipline;
+	// spActive caches the per-step sampling decision (StepTick) so
+	// unsampled steps pay the nil check alone.
+	tr := s.cfg.Tracer
+	sp := s.cfg.Profiler
+	spActive := false
+	if sp != nil {
+		spActive = sp.StepTick()
+	}
+	if sp != nil && spActive {
+		sp.Begin(obs.StageCPUCommit) // opens the cpu pipeline window
+	}
+	switch {
+	case l.clockStop:
+		// Global clock stopped: no execution, no dynamic power at all.
+		clockFrac = 0
+		act.Cycles = 0
+	case l.stallRemaining > 0:
+		// DVS transition with pipeline stalled: clock runs (idle
+		// power), nothing executes.
+		stalled = true
+		if l.stallRemaining < dt {
+			dt = l.stallRemaining
 		}
-		activity, err = act.BlockActivity(s.fp, activity)
+		l.stallRemaining -= dt
+	case shared != nil:
+		act = shared
+	case sp != nil && spActive:
+		if _, err := s.core.RunGatedProfiled(l.stepCycles, l.gates, act, sp); err != nil {
+			return err
+		}
+	default:
+		if _, err := s.core.RunGated(l.stepCycles, l.gates, act); err != nil {
+			return err
+		}
+	}
+	if sp != nil && spActive {
+		sp.EndCPU()
+	}
+
+	var err error
+	if sp != nil && spActive {
+		sp.Begin(obs.StagePowerCompute)
+	}
+	l.activity, err = act.BlockActivity(s.fp, l.activity)
+	if err != nil {
+		return err
+	}
+	l.pvec, err = s.pm.Compute(l.pvec, l.activity, clockFrac, op.V, op.F, l.temps)
+	if err != nil {
+		return err
+	}
+	if sp != nil && spActive {
+		sp.End(obs.StagePowerCompute)
+		sp.Begin(obs.StageThermalStep)
+	}
+	if err := s.tm.Step(l.pvec, dt); err != nil {
+		return err
+	}
+	l.temps = s.tm.BlockTemps(l.temps)
+	if sp != nil && spActive {
+		sp.End(obs.StageThermalStep)
+	}
+	l.wall += dt
+	l.stepIdx++
+	wall, stepIdx, measuring := l.wall, l.stepIdx, l.measuring
+
+	var hi int
+	var ht float64
+	if measuring || tr != nil {
+		hi, ht = s.tm.MaxBlockTemp()
+	}
+	if sp != nil && spActive && tr != nil {
+		sp.Begin(obs.StageTraceEmit)
+	}
+	if tr != nil {
+		tr.Emit(&obs.Event{
+			Kind: obs.KindStep, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx, Measuring: measuring,
+			Dt: dt, Temps: l.temps, Power: l.pvec, MaxTemp: ht, Hottest: hi,
+			Level: l.level, GateFrac: l.gates.Fetch, ClockStop: l.clockStop,
+			Stalled: stalled, StallRemaining: l.stallRemaining,
+		})
+		if above := ht > s.cfg.Trigger; above != l.wasAboveTrigger {
+			l.wasAboveTrigger = above
+			tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
+				Measuring: measuring, Threshold: "trigger", Above: above, MaxTemp: ht})
+		}
+		if above := ht > s.cfg.EmergencyThreshold; above != l.wasAboveEmergency {
+			l.wasAboveEmergency = above
+			tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
+				Measuring: measuring, Threshold: "emergency", Above: above, MaxTemp: ht})
+		}
+	}
+	if sp != nil && spActive && tr != nil {
+		sp.End(obs.StageTraceEmit)
+	}
+
+	// Bookkeeping on true temperatures, once the DTM controllers have
+	// settled.
+	if measuring {
+		res := &l.res
+		if ht > l.maxTemp {
+			l.maxTemp, l.hottest = ht, hi
+		}
+		if ht > s.cfg.EmergencyThreshold {
+			res.EmergencyTime += dt
+		}
+		if ht > s.cfg.Trigger {
+			res.TimeAboveTrigger += dt
+		}
+		l.energy += power.Total(l.pvec) * dt
+		res.AvgGate += l.gates.Fetch * dt
+		if l.level > 0 {
+			res.TimeAtLowV += dt
+		}
+		if l.clockStop {
+			res.ClockStopTime += dt
+		}
+	}
+
+	// Apply a pending (ideal-mode) DVS transition. A follower never has
+	// one: a pending switch makes it leave its cohort.
+	if l.pendingLevel >= 0 && wall >= l.pendingAt {
+		if sp != nil && spActive {
+			sp.Begin(obs.StageDVFSActuate)
+		}
+		from := l.level
+		l.level = l.pendingLevel
+		l.pendingLevel = -1
+		if err := s.core.SetFrequencyRatio(s.ladder.Point(l.level).F / l.nomF); err != nil {
+			return err
+		}
+		if tr != nil {
+			tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
+				Measuring: measuring, Level: l.level, FromLevel: from, SwitchApplied: true,
+				GateFrac: l.gates.Fetch, ClockStop: l.clockStop})
+		}
+		if sp != nil && spActive {
+			sp.End(obs.StageDVFSActuate)
+		}
+	}
+
+	// Sensor sampling and policy decision.
+	for wall >= l.nextSample {
+		l.nextSample += l.samplePeriod
+		if sp != nil && spActive {
+			sp.Begin(obs.StageSensorSample)
+		}
+		l.readings, err = s.bank.Read(l.readings, l.temps)
 		if err != nil {
-			return Result{}, err
-		}
-		pvec, err = s.pm.Compute(pvec, activity, clockFrac, op.V, op.F, temps)
-		if err != nil {
-			return Result{}, err
+			return err
 		}
 		if sp != nil && spActive {
-			sp.End(obs.StagePowerCompute)
-			sp.Begin(obs.StageThermalStep)
+			sp.End(obs.StageSensorSample)
+			sp.Begin(obs.StagePolicyDecide)
 		}
-		if err := s.tm.Step(pvec, dt); err != nil {
-			return Result{}, err
+		var d dtm.Decision
+		var maxR float64
+		if vp, ok := s.policy.(dtm.VectorPolicy); ok {
+			d = vp.SampleVector(l.readings, l.samplePeriod)
+			if tr != nil {
+				maxR = sensor.Max(l.readings)
+			}
+		} else {
+			maxR = sensor.Max(l.readings)
+			d = s.policy.Sample(maxR, l.samplePeriod)
 		}
-		temps = s.tm.BlockTemps(temps)
 		if sp != nil && spActive {
-			sp.End(obs.StageThermalStep)
-		}
-		wall += dt
-		stepIdx++
-
-		var hi int
-		var ht float64
-		if measuring || tr != nil {
-			hi, ht = s.tm.MaxBlockTemp()
+			sp.End(obs.StagePolicyDecide)
 		}
 		if sp != nil && spActive && tr != nil {
 			sp.Begin(obs.StageTraceEmit)
 		}
 		if tr != nil {
-			tr.Emit(&obs.Event{
-				Kind: obs.KindStep, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx, Measuring: measuring,
-				Dt: dt, Temps: temps, Power: pvec, MaxTemp: ht, Hottest: hi,
-				Level: level, GateFrac: gates.Fetch, ClockStop: clockStop,
-				Stalled: stalled, StallRemaining: stallRemaining,
-			})
-			if above := ht > s.cfg.Trigger; above != wasAboveTrigger {
-				wasAboveTrigger = above
-				tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Threshold: "trigger", Above: above, MaxTemp: ht})
-			}
-			if above := ht > s.cfg.EmergencyThreshold; above != wasAboveEmergency {
-				wasAboveEmergency = above
-				tr.Emit(&obs.Event{Kind: obs.KindCrossing, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Threshold: "emergency", Above: above, MaxTemp: ht})
-			}
+			cyc := s.core.Cycle()
+			tr.Emit(&obs.Event{Kind: obs.KindSensor, Time: wall, Cycle: cyc, Step: stepIdx,
+				Measuring: measuring, Readings: l.readings, MaxReading: maxR})
+			tr.Emit(&obs.Event{Kind: obs.KindDecision, Time: wall, Cycle: cyc, Step: stepIdx,
+				Measuring: measuring, DecGate: d.GateFrac, DecLevel: d.Level, DecClockStop: d.ClockStop})
 		}
 		if sp != nil && spActive && tr != nil {
 			sp.End(obs.StageTraceEmit)
 		}
-
-		// Bookkeeping on true temperatures, once the DTM controllers have
-		// settled.
-		if measuring {
-			if ht > maxTemp {
-				maxTemp, hottest = ht, hi
-			}
-			if ht > s.cfg.EmergencyThreshold {
-				res.EmergencyTime += dt
-			}
-			if ht > s.cfg.Trigger {
-				res.TimeAboveTrigger += dt
-			}
-			energy += power.Total(pvec) * dt
-			res.AvgGate += gates.Fetch * dt
-			if level > 0 {
-				res.TimeAtLowV += dt
-			}
-			if clockStop {
-				res.ClockStopTime += dt
-			}
+		if sp != nil && spActive {
+			// The remainder of the sample body — gate/clock-stop
+			// application and DVS switch bookkeeping, including its
+			// actuation event — is the dvfs.actuate window.
+			sp.Begin(obs.StageDVFSActuate)
 		}
-
-		// Apply a pending (ideal-mode) DVS transition.
-		if pendingLevel >= 0 && wall >= pendingAt {
-			if sp != nil && spActive {
-				sp.Begin(obs.StageDVFSActuate)
-			}
-			from := level
-			level = pendingLevel
-			pendingLevel = -1
-			if err := s.core.SetFrequencyRatio(s.ladder.Point(level).F / nomF); err != nil {
-				return Result{}, err
-			}
-			if tr != nil {
-				tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, Level: level, FromLevel: from, SwitchApplied: true,
-					GateFrac: gates.Fetch, ClockStop: clockStop})
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageDVFSActuate)
-			}
+		l.gates = cpu.Gates{Fetch: d.GateFrac, Int: d.IntGate, FP: d.FPGate, Mem: d.MemGate}
+		l.clockStop = d.ClockStop
+		want := d.Level
+		if want < 0 {
+			want = 0
 		}
-
-		// Sensor sampling and policy decision.
-		for wall >= nextSample {
-			nextSample += samplePeriod
-			if sp != nil && spActive {
-				sp.Begin(obs.StageSensorSample)
-			}
-			readings, err = s.bank.Read(readings, temps)
-			if err != nil {
-				return Result{}, err
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageSensorSample)
-				sp.Begin(obs.StagePolicyDecide)
-			}
-			var d dtm.Decision
-			var maxR float64
-			if vp, ok := s.policy.(dtm.VectorPolicy); ok {
-				d = vp.SampleVector(readings, samplePeriod)
-				if tr != nil {
-					maxR = sensor.Max(readings)
+		if want >= s.ladder.NumPoints() {
+			want = s.ladder.NumPoints() - 1
+		}
+		switched := false
+		fromLevel := l.level
+		if want != l.level && l.pendingLevel < 0 && stats.SameFloat(l.stallRemaining, 0) {
+			l.res.DVSSwitches++
+			switched = true
+			if s.cfg.DVSStall {
+				// Pipeline stalls through the transition; the new
+				// setting is live afterwards. A follower leaves the
+				// shared core as it is: Fork sets the ratio on the core
+				// the run takes.
+				l.stallRemaining = s.cfg.DVSSwitchTime
+				l.level = want
+				if shared == nil {
+					if err := s.core.SetFrequencyRatio(s.ladder.Point(l.level).F / l.nomF); err != nil {
+						return err
+					}
 				}
 			} else {
-				maxR = sensor.Max(readings)
-				d = s.policy.Sample(maxR, samplePeriod)
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StagePolicyDecide)
-			}
-			if sp != nil && spActive && tr != nil {
-				sp.Begin(obs.StageTraceEmit)
-			}
-			if tr != nil {
-				cyc := s.core.Cycle()
-				tr.Emit(&obs.Event{Kind: obs.KindSensor, Time: wall, Cycle: cyc, Step: stepIdx,
-					Measuring: measuring, Readings: readings, MaxReading: maxR})
-				tr.Emit(&obs.Event{Kind: obs.KindDecision, Time: wall, Cycle: cyc, Step: stepIdx,
-					Measuring: measuring, DecGate: d.GateFrac, DecLevel: d.Level, DecClockStop: d.ClockStop})
-			}
-			if sp != nil && spActive && tr != nil {
-				sp.End(obs.StageTraceEmit)
-			}
-			if sp != nil && spActive {
-				// The remainder of the sample body — gate/clock-stop
-				// application and DVS switch bookkeeping, including its
-				// actuation event — is the dvfs.actuate window.
-				sp.Begin(obs.StageDVFSActuate)
-			}
-			gates = cpu.Gates{Fetch: d.GateFrac, Int: d.IntGate, FP: d.FPGate, Mem: d.MemGate}
-			clockStop = d.ClockStop
-			want := d.Level
-			if want < 0 {
-				want = 0
-			}
-			if want >= s.ladder.NumPoints() {
-				want = s.ladder.NumPoints() - 1
-			}
-			switched := false
-			fromLevel := level
-			if want != level && pendingLevel < 0 && stats.SameFloat(stallRemaining, 0) {
-				res.DVSSwitches++
-				switched = true
-				if s.cfg.DVSStall {
-					// Pipeline stalls through the transition; the new
-					// setting is live afterwards.
-					stallRemaining = s.cfg.DVSSwitchTime
-					level = want
-					if err := s.core.SetFrequencyRatio(s.ladder.Point(level).F / nomF); err != nil {
-						return Result{}, err
-					}
-				} else {
-					pendingLevel = want
-					pendingAt = wall + s.cfg.DVSSwitchTime
-				}
-			}
-			if tr != nil && (switched || !stats.SameFloat(gates.Fetch, prevGate) || clockStop != prevClockStop) {
-				prevGate, prevClockStop = gates.Fetch, clockStop
-				tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
-					Measuring: measuring, GateFrac: gates.Fetch, ClockStop: clockStop,
-					Level: want, FromLevel: fromLevel,
-					SwitchStarted: switched, SwitchStalls: switched && s.cfg.DVSStall,
-					StallRemaining: stallRemaining})
-			}
-			if sp != nil && spActive {
-				sp.End(obs.StageDVFSActuate)
+				l.pendingLevel = want
+				l.pendingAt = wall + s.cfg.DVSSwitchTime
 			}
 		}
-
-		if !measuring && s.core.Committed() >= settleTarget {
-			measuring = true
-			startCommitted = s.core.Committed()
-			startCycles = s.core.Cycle()
-			startWall = wall
-			committedTarget = startCommitted + instructions
+		if tr != nil && (switched || !stats.SameFloat(l.gates.Fetch, l.prevGate) || l.clockStop != l.prevClockStop) {
+			l.prevGate, l.prevClockStop = l.gates.Fetch, l.clockStop
+			tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
+				Measuring: measuring, GateFrac: l.gates.Fetch, ClockStop: l.clockStop,
+				Level: want, FromLevel: fromLevel,
+				SwitchStarted: switched, SwitchStalls: switched && s.cfg.DVSStall,
+				StallRemaining: l.stallRemaining})
 		}
-		if measuring && s.core.Committed() >= committedTarget {
-			break
-		}
-		if wall > s.cfg.MaxWallTime {
-			return Result{}, fmt.Errorf("core: %s/%s exceeded MaxWallTime %v s without finishing (clock stuck?)",
-				s.prof.Name, s.policy.Name(), s.cfg.MaxWallTime)
+		if sp != nil && spActive {
+			sp.End(obs.StageDVFSActuate)
 		}
 	}
 
-	res.Instructions = s.core.Committed() - startCommitted
-	res.Cycles = s.core.Cycle() - startCycles
-	res.WallTime = wall - startWall
-	if maxTemp < -1e8 {
+	if !l.measuring && s.core.Committed() >= l.settleTarget {
+		l.measuring = true
+		l.startCommitted = s.core.Committed()
+		l.startCycles = s.core.Cycle()
+		l.startWall = wall
+		l.committedTarget = l.startCommitted + l.instructions
+	}
+	if l.measuring && s.core.Committed() >= l.committedTarget {
+		s.finish()
+		return nil
+	}
+	if wall > s.cfg.MaxWallTime {
+		return fmt.Errorf("core: %s/%s exceeded MaxWallTime %v s without finishing (clock stuck?)",
+			s.prof.Name, s.policy.Name(), s.cfg.MaxWallTime)
+	}
+	return nil
+}
+
+// finish closes the measured window: it fills in the Result from the core
+// and thermal state at this step boundary and marks the run done.
+func (s *Simulator) finish() {
+	l := &s.l
+	res := &l.res
+	res.Instructions = s.core.Committed() - l.startCommitted
+	res.Cycles = s.core.Cycle() - l.startCycles
+	res.WallTime = l.wall - l.startWall
+	if l.maxTemp < -1e8 {
 		// Degenerate window (target smaller than one thermal step): report
 		// the current state rather than the sentinel.
-		hottest, maxTemp = s.tm.MaxBlockTemp()
+		l.hottest, l.maxTemp = s.tm.MaxBlockTemp()
 	}
-	res.MaxTemp = maxTemp
-	res.HottestBlock = s.fp.Block(hottest).Name
-	res.EnergyJ = energy
+	res.MaxTemp = l.maxTemp
+	res.HottestBlock = s.fp.Block(l.hottest).Name
+	res.EnergyJ = l.energy
 	if res.WallTime > 0 {
-		res.AvgPower = energy / res.WallTime
+		res.AvgPower = l.energy / res.WallTime
 		res.AvgGate /= res.WallTime
 	}
 	if res.Cycles > 0 {
 		res.AvgIPC = float64(res.Instructions) / float64(res.Cycles)
 	}
-	return res, nil
+	l.done = true
 }

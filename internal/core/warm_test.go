@@ -81,17 +81,70 @@ func runTraced(t *testing.T, build func(Config) (*Simulator, error), cfg Config,
 	return buf.Bytes(), res
 }
 
+// drive finishes members of the stopped cohort c the way a scheduler
+// does, on the calling goroutine: it forks them onto their own core
+// (adopting c's when adopt is set), steps them together until some act,
+// then forks each acted run alone and the rest as one cohort that adopts
+// the core last. Every result lands in out.
+func drive(t *testing.T, c *Cohort, members []*Simulator, adopt bool, n uint64, out map[*Simulator]Result) {
+	t.Helper()
+	f, err := c.Fork(members, adopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(s *Simulator) {
+		t.Helper()
+		res, err := s.Run(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[s] = res
+	}
+	if len(members) == 1 {
+		finish(members[0])
+		return
+	}
+	left := append([]*Simulator(nil), members...)
+	for len(left) > 0 {
+		if err := f.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		var acted, kept []*Simulator
+		for _, s := range left {
+			switch {
+			case s.Done():
+				finish(s)
+			case !s.Idle():
+				acted = append(acted, s)
+			default:
+				kept = append(kept, s)
+			}
+		}
+		left = kept
+		if len(acted) > 0 {
+			for i, s := range acted {
+				drive(t, f, []*Simulator{s}, len(left) == 0 && i == len(acted)-1, n, out)
+			}
+			if len(left) > 0 {
+				drive(t, f, left, true, n, out)
+			}
+			return
+		}
+	}
+}
+
 // TestForkMatchesFresh is the fork half of the equivalence harness (the
-// TestScalarBatchedEquivalence pattern): every run forked from one shared
+// TestScalarBatchedEquivalence pattern): every run started from one shared
 // Warm must give the Result and the byte-identical JSONL event stream of
 // a fresh New + Run, for bzip2 and gcc under no DTM, FG, DVS, PI-Hyb and
-// Hyb. Forks are taken both in order, each after its sibling finished,
-// and in reverse order with all copies made before any runs, the last one
-// adopting the Warm's core — so neither a sibling's run nor the order of
-// forking can leak into a result.
+// Hyb. Three schedules are checked: each run forked alone at step 0 after
+// its sibling finished; all five sharing one core until each first acts,
+// then going on alone from that step boundary; and every step-0 fork
+// copied up front in reverse, the last adopting the Warm's core — so
+// neither a sibling's run nor the order of forking can leak into a result.
 func TestForkMatchesFresh(t *testing.T) {
 	if testing.Short() {
-		t.Skip("thirty coupled runs")
+		t.Skip("forty coupled runs")
 	}
 	const insts = 300_000
 	base := traceConfig()
@@ -113,10 +166,6 @@ func TestForkMatchesFresh(t *testing.T) {
 					return New(cfg, prof, c.policy(t, cfg))
 				}, c.cfg(base), insts)
 			}
-			w, err := WarmUp(context.Background(), base, prof)
-			if err != nil {
-				t.Fatal(err)
-			}
 			check := func(order string, i int, tr []byte, res Result) {
 				t.Helper()
 				if res != freshRes[i] {
@@ -126,55 +175,92 @@ func TestForkMatchesFresh(t *testing.T) {
 					t.Errorf("%s %s: event stream diverged (%d vs %d bytes)", order, cases[i].name, len(freshTrace[i]), len(tr))
 				}
 			}
-
-			for i, c := range cases {
-				tr, res := runTraced(t, func(cfg Config) (*Simulator, error) {
-					return NewFromWarm(cfg, prof, c.policy(t, cfg), w)
-				}, c.cfg(base), insts)
-				check("in order", i, tr, res)
-			}
-
-			// Reverse: copy every fork up front (the last adopts), then run.
-			type fork struct {
+			type member struct {
 				sim *Simulator
 				buf *bytes.Buffer
 				jl  *obs.JSONL
 			}
-			forks := make([]fork, len(cases))
-			for i := len(cases) - 1; i >= 0; i-- {
-				c := cases[i]
-				cfg := c.cfg(base)
-				f := fork{buf: new(bytes.Buffer)}
-				f.jl = obs.NewJSONL(f.buf)
-				cfg.Tracer = f.jl
-				build := NewFromWarm
-				if i == 0 {
-					build = AdoptWarm
+			// cohort joins every case, each with its own JSONL tracer.
+			cohort := func() (*Cohort, []member) {
+				t.Helper()
+				w, err := WarmUp(context.Background(), base, prof)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if f.sim, err = build(cfg, prof, c.policy(t, cfg), w); err != nil {
+				co, err := NewCohort(w, insts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms := make([]member, len(cases))
+				for i, c := range cases {
+					cfg := c.cfg(base)
+					ms[i].buf = new(bytes.Buffer)
+					ms[i].jl = obs.NewJSONL(ms[i].buf)
+					cfg.Tracer = ms[i].jl
+					if ms[i].sim, err = co.Join(cfg, prof, c.policy(t, cfg)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return co, ms
+			}
+			checkAll := func(order string, ms []member, out map[*Simulator]Result) {
+				t.Helper()
+				for i, m := range ms {
+					if err := m.jl.Err(); err != nil {
+						t.Fatal(err)
+					}
+					res, ok := out[m.sim]
+					if !ok {
+						t.Fatalf("%s %s: no result", order, cases[i].name)
+					}
+					check(order, i, m.buf.Bytes(), res)
+				}
+			}
+
+			co, ms := cohort()
+			out := make(map[*Simulator]Result)
+			for i, m := range ms {
+				drive(t, co, []*Simulator{m.sim}, i == len(ms)-1, insts, out)
+			}
+			checkAll("in order", ms, out)
+
+			co, ms = cohort()
+			out = make(map[*Simulator]Result)
+			sims := make([]*Simulator, len(ms))
+			for i, m := range ms {
+				sims[i] = m.sim
+			}
+			drive(t, co, sims, true, insts, out)
+			checkAll("shared", ms, out)
+
+			co, ms = cohort()
+			forks := make([]*Cohort, len(ms))
+			for i := len(ms) - 1; i >= 0; i-- {
+				f, err := co.Fork([]*Simulator{ms[i].sim}, i == 0)
+				if err != nil {
 					t.Fatal(err)
 				}
 				forks[i] = f
 			}
-			for i := len(forks) - 1; i >= 0; i-- {
-				res, err := forks[i].sim.Run(insts)
+			out = make(map[*Simulator]Result)
+			for i := len(ms) - 1; i >= 0; i-- {
+				res, err := ms[i].sim.Run(insts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := forks[i].jl.Err(); err != nil {
-					t.Fatal(err)
-				}
-				check("reverse", i, forks[i].buf.Bytes(), res)
+				out[ms[i].sim] = res
 			}
+			checkAll("reverse", ms, out)
 		})
 	}
 }
 
-// TestNewFromWarmChecksWarmFields pins the warm-field contract: a fork
-// whose config differs from the Warm's in a field the warm state depends
-// on is rejected, naming the field; policy-side fields are free; an
-// adopted Warm cannot be forked again.
-func TestNewFromWarmChecksWarmFields(t *testing.T) {
+// TestJoinChecksWarmFields pins the warm-field contract: a member whose
+// config differs from the Warm's in a field the warm state depends on is
+// rejected, naming the field; policy-side fields are free; a Warm starts
+// one cohort, an adopted cohort cannot fork again, and members join only
+// while the cohort is at its warm state.
+func TestJoinChecksWarmFields(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.WarmupCycles = 20_000
 	cfg.InitCycles = 20_000
@@ -182,6 +268,13 @@ func TestNewFromWarmChecksWarmFields(t *testing.T) {
 	w, err := WarmUp(context.Background(), cfg, prof)
 	if err != nil {
 		t.Fatal(err)
+	}
+	co, err := NewCohort(w, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCohort(w, 10_000); err == nil {
+		t.Error("a Warm started a second cohort")
 	}
 
 	reject := []struct {
@@ -195,13 +288,13 @@ func TestNewFromWarmChecksWarmFields(t *testing.T) {
 	for _, r := range reject {
 		c := cfg
 		r.edit(&c)
-		if _, err := NewFromWarm(c, prof, nil, w); err == nil || !strings.Contains(err.Error(), r.field) {
+		if _, err := co.Join(c, prof, nil); err == nil || !strings.Contains(err.Error(), r.field) {
 			t.Errorf("changed %s: err = %v, want a rejection naming it", r.field, err)
 		}
 	}
 	other := prof
 	other.Seed++
-	if _, err := NewFromWarm(cfg, other, nil, w); err == nil || !strings.Contains(err.Error(), "Profile") {
+	if _, err := co.Join(cfg, other, nil); err == nil || !strings.Contains(err.Error(), "Profile") {
 		t.Errorf("changed profile seed: err = %v, want a rejection naming Profile", err)
 	}
 
@@ -213,20 +306,34 @@ func TestNewFromWarmChecksWarmFields(t *testing.T) {
 		{"Trigger", func(c *Config) { c.Trigger-- }},
 		{"Tracer", func(c *Config) { c.Tracer = obs.NewJSONL(new(bytes.Buffer)) }},
 		{"SettleInstructions", func(c *Config) { c.SettleInstructions /= 2 }},
+		{"ThermalStepCycles", func(c *Config) { c.ThermalStepCycles /= 2 }},
 	}
-	for _, a := range accept {
+	members := make([]*Simulator, len(accept))
+	for i, a := range accept {
 		c := cfg
 		a.edit(&c)
-		if _, err := NewFromWarm(c, prof, nil, w); err != nil {
-			t.Errorf("changed %s: %v, want the fork accepted", a.field, err)
+		if members[i], err = co.Join(c, prof, nil); err != nil {
+			t.Errorf("changed %s: %v, want the member accepted", a.field, err)
 		}
 	}
-
-	if _, err := AdoptWarm(cfg, prof, nil, w); err != nil {
+	if _, err := co.Fork(members, false); err == nil || !strings.Contains(err.Error(), "ThermalStepCycles") {
+		t.Errorf("fork mixing step sizes: err = %v, want a rejection naming ThermalStepCycles", err)
+	}
+	f, err := co.Fork(members[:2], false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewFromWarm(cfg, prof, nil, w); err == nil {
-		t.Error("forked a Warm whose core was already adopted")
+	if err := f.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Join(cfg, prof, nil); err == nil {
+		t.Error("joined a cohort that has stepped")
+	}
+	if _, err := co.Fork(members[2:3], true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := co.Fork(members[3:4], false); err == nil {
+		t.Error("forked a cohort whose core was already adopted")
 	}
 }
 

@@ -247,6 +247,54 @@ func TestPIHybCrossoverEngagesDVS(t *testing.T) {
 	}
 }
 
+// TestPIHybNoWindup is PI-Hyb's anti-windup property. A sensor stuck
+// high (95 °C) for N samples saturates the integral loop and engages DVS;
+// readings 5 K below the trigger must then bring the policy back to idle
+// in a number of samples that does not depend on N — an integral term
+// that kept growing past saturation would take longer to unwind the longer
+// it was stuck. Every decision meanwhile stays inside the actuators'
+// range: gating in [0, crossover] and a level on the ladder. The crossover
+// is DVS-stall's (one fetch cycle in three, experiments.CrossoverGateStall).
+func TestPIHybNoWindup(t *testing.T) {
+	const crossGate = 1.0 / 3
+	ladder := binaryLadder(t)
+	recovery := func(n int) int {
+		t.Helper()
+		p, err := PIHyb(testTrigger, DefaultFGGain, crossGate, ladder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(phase string, i int, d Decision) {
+			t.Helper()
+			if d.GateFrac < 0 || d.GateFrac > crossGate || d.Level < 0 || d.Level >= ladder.NumPoints() {
+				t.Fatalf("N=%d, %s sample %d: decision %+v outside gate [0, %v] or ladder [0, %d)",
+					n, phase, i, d, crossGate, ladder.NumPoints())
+			}
+		}
+		var d Decision
+		for i := 0; i < n; i++ {
+			d = p.Sample(95, sampleDT)
+			check("stuck", i, d)
+		}
+		if d.Level == 0 {
+			t.Fatalf("N=%d: a stuck-high sensor never engaged DVS", n)
+		}
+		for i := 1; i <= 1_000_000; i++ {
+			d = p.Sample(testTrigger-5, sampleDT)
+			check("cool", i, d)
+			if d == (Decision{}) {
+				return i
+			}
+		}
+		t.Fatalf("N=%d: never returned to idle", n)
+		return 0
+	}
+	short, long := recovery(100), recovery(10_000)
+	if short != long {
+		t.Errorf("samples back to idle: %d after 100 stuck samples, %d after 10000 (integral windup)", short, long)
+	}
+}
+
 func TestPIHybValidation(t *testing.T) {
 	l := binaryLadder(t)
 	if _, err := PIHyb(testTrigger, DefaultFGGain, 0, l); err == nil {

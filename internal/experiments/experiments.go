@@ -4,9 +4,11 @@
 // package, either from the cmd/experiments tool or from the benchmark
 // harness in the repository root. DESIGN.md carries the experiment index.
 //
-// Every (benchmark, policy, config) simulation is independent — no mutable
-// state is shared between runs — so the package executes them on a bounded
-// worker pool (see pool.go). Results are reassembled in submission order,
+// Every (benchmark, policy, config) simulation is independent — runs share
+// no mutable state, except that a benchmark's runs follow one cpu core,
+// advanced for all of them at once, until each policy first acts (see
+// share.go) — so the package executes them on a bounded worker pool (see
+// pool.go). Results are reassembled in submission order,
 // which makes parallel runs byte-identical to serial runs; Options.Workers
 // only changes wall-clock time, never output.
 package experiments
@@ -49,9 +51,14 @@ type Options struct {
 	// Tracer already present on the job's Config.
 	Metrics *obs.Registry
 
-	// Workers bounds how many simulations run concurrently. Zero means
+	// Workers bounds how many goroutines simulate at once. Zero means
 	// runtime.GOMAXPROCS(0); 1 reproduces serial execution. Results are
-	// identical for every setting.
+	// identical for every setting. Within a RunJobs batch a worker may
+	// step several runs of one benchmark on one shared core until their
+	// policies first act (see share.go), so a worker is not always one
+	// run; at most Workers + 1 cpu cores are alive at once. A
+	// Config.Tracer serves one run at a time, so NewRunner accepts one
+	// only with Workers set to 1.
 	Workers int
 }
 
@@ -160,7 +167,8 @@ func HybPolicy(cfg core.Config, stall bool) PolicyFactory {
 // A Runner is safe for concurrent use; the baseline cache is singleflight
 // (concurrent requests for the same benchmark trigger exactly one
 // simulation, everyone else waits for it). Within one RunJobs batch the
-// runs of a benchmark also share its warm state (see warm.go).
+// runs of a benchmark also share its warm state and, until each policy
+// first acts, its cpu core (see share.go).
 type Runner struct {
 	opts    Options
 	workers int
@@ -169,7 +177,6 @@ type Runner struct {
 
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry
-	warm      map[string]*warmEntry // by core.WarmKey; only while a batch holds refs
 }
 
 // baselineEntry is one in-flight or completed baseline computation. done is
@@ -194,6 +201,9 @@ func NewRunner(opts Options) (*Runner, error) {
 	if err := opts.Config.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Config.Tracer != nil && opts.Workers != 1 {
+		return nil, fmt.Errorf("experiments: a Config.Tracer serves one run at a time, so it needs Workers: 1 (have %d)", opts.Workers)
+	}
 	workers := opts.Workers
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -204,7 +214,6 @@ func NewRunner(opts Options) (*Runner, error) {
 		log:       opts.Logger,
 		metrics:   opts.Metrics,
 		baselines: make(map[string]*baselineEntry),
-		warm:      make(map[string]*warmEntry),
 	}, nil
 }
 
@@ -219,12 +228,6 @@ func (r *Runner) Workers() int { return r.workers }
 // not cached, so a later call with a live context recomputes it; any other
 // error is cached (it is deterministic and would simply recur).
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
-	return r.baseline(ctx, prof, nil)
-}
-
-// baseline is BaselineContext forking from the batch's warm state when b
-// is non-nil and the simulation is not already cached or in flight.
-func (r *Runner) baseline(ctx context.Context, prof trace.Profile, b *warmBatch) (core.Result, error) {
 	for {
 		r.mu.Lock()
 		e, ok := r.baselines[prof.Name]
@@ -232,7 +235,7 @@ func (r *Runner) baseline(ctx context.Context, prof trace.Profile, b *warmBatch)
 			e = &baselineEntry{done: make(chan struct{})}
 			r.baselines[prof.Name] = e
 			r.mu.Unlock()
-			e.res, e.err = r.measureBaseline(ctx, prof, b)
+			e.res, e.err = r.measureBaseline(ctx, prof)
 			if e.err != nil && errors.Is(e.err, ctx.Err()) {
 				r.mu.Lock()
 				delete(r.baselines, prof.Name)
@@ -256,9 +259,8 @@ func (r *Runner) baseline(ctx context.Context, prof trace.Profile, b *warmBatch)
 }
 
 // measureBaseline runs the uncached no-DTM simulation.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, b *warmBatch) (core.Result, error) {
-	cfg := r.instrument(r.opts.Config)
-	sim, err := r.newSim(ctx, b, cfg, prof, nil)
+func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
+	sim, err := core.New(r.instrument(r.opts.Config), prof, nil)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -266,13 +268,18 @@ func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile, b *war
 	if err != nil {
 		return core.Result{}, err
 	}
+	r.ranBaseline(prof, res)
+	return res, nil
+}
+
+// ranBaseline records a finished baseline run.
+func (r *Runner) ranBaseline(prof trace.Profile, res core.Result) {
 	if r.metrics != nil {
 		r.metrics.Counter(obs.MetricInstructions).Add(int64(res.Instructions))
 	}
 	if r.log != nil {
 		r.log.Debug("run", "bench", prof.Name, "policy", "none", "maxT", res.MaxTemp)
 	}
-	return res, nil
 }
 
 // instrument chains a per-run metrics tracer onto cfg when the runner has
@@ -299,24 +306,17 @@ type Measurement struct {
 // job.Config overrides. It shares the runner's singleflight baseline
 // cache and metrics registry with every other caller. It is the entry point for drivers that manage their own
 // concurrency (the dtmserve worker pool); batch drivers use RunJobs.
+//
+// The policy runs first because only the normalization needs the
+// baseline: a worker that waited for it up front would idle while a
+// sibling computes it.
 func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
-	return r.runJob(ctx, job, nil)
-}
-
-// runJob executes one simulation job: build a fresh policy, run (forked
-// from the batch's warm state when b is non-nil), then resolve the
-// baseline (shared via the singleflight cache) and normalize. The policy
-// runs first because only the normalization needs the baseline: a worker
-// that waited for it up front would idle while a sibling computes it. Job
-// wall-clock latency feeds the pool.job_s histogram when a registry is
-// attached — latency is host time, so it never influences Measurements.
-func (r *Runner) runJob(ctx context.Context, job Job, b *warmBatch) (Measurement, error) {
 	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
 	pol, err := job.Factory.New()
 	if err != nil {
 		return Measurement{}, err
 	}
-	sim, err := r.newSim(ctx, b, r.instrument(job.Config), job.Profile, pol)
+	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -324,10 +324,14 @@ func (r *Runner) runJob(ctx context.Context, job Job, b *warmBatch) (Measurement
 	if err != nil {
 		return Measurement{}, err
 	}
-	base, err := r.BaselineContext(ctx, job.Profile)
-	if err != nil {
-		return Measurement{}, err
-	}
+	r.ranJob(job, res, start)
+	return r.measure(ctx, job, res)
+}
+
+// ranJob records a finished job run. Its wall-clock latency since start
+// feeds the pool.job_s histogram when a registry is attached — latency is
+// host time, so it never influences Measurements.
+func (r *Runner) ranJob(job Job, res core.Result, start time.Time) {
 	if r.metrics != nil {
 		r.metrics.Counter(obs.MetricPoolJobs).Inc()
 		r.metrics.Counter(obs.MetricInstructions).Add(int64(res.Instructions))
@@ -337,6 +341,15 @@ func (r *Runner) runJob(ctx context.Context, job Job, b *warmBatch) (Measurement
 	if r.log != nil {
 		r.log.Debug("run", "bench", job.Profile.Name, "policy", job.Factory.Name,
 			"maxT", res.MaxTemp, "violated", res.Violated())
+	}
+}
+
+// measure normalizes a job's result against its benchmark's baseline,
+// resolved through the singleflight cache.
+func (r *Runner) measure(ctx context.Context, job Job, res core.Result) (Measurement, error) {
+	base, err := r.BaselineContext(ctx, job.Profile)
+	if err != nil {
+		return Measurement{}, err
 	}
 	basePerInst := base.WallTime / float64(base.Instructions)
 	perInst := res.WallTime / float64(res.Instructions)

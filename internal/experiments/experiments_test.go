@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"hybriddtm/internal/core"
+	"hybriddtm/internal/obs"
 	"hybriddtm/internal/stats"
 	"hybriddtm/internal/trace"
 )
@@ -45,6 +47,19 @@ func TestNewRunnerValidation(t *testing.T) {
 	opts.Config.ThermalStepCycles = -1
 	if _, err := NewRunner(opts); err == nil {
 		t.Error("accepted invalid config")
+	}
+	// A Tracer serves one run at a time: concurrent runs must not share it.
+	opts = tinyOptions(t)
+	opts.Config.Tracer = obs.NewJSONL(io.Discard)
+	for _, workers := range []int{0, 2} {
+		opts.Workers = workers
+		if _, err := NewRunner(opts); err == nil || !strings.Contains(err.Error(), "Tracer") {
+			t.Errorf("Workers %d with a shared Tracer: err = %v, want a rejection naming Tracer", workers, err)
+		}
+	}
+	opts.Workers = 1
+	if _, err := NewRunner(opts); err != nil {
+		t.Errorf("serial runner with a Tracer: %v", err)
 	}
 }
 

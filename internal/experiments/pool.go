@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hybriddtm/internal/core"
-	"hybriddtm/internal/obs"
 	"hybriddtm/internal/trace"
 )
 
@@ -29,42 +28,35 @@ type Job struct {
 // RunJobs executes the jobs on the runner's worker pool and returns their
 // measurements in submission order. The first error cancels all outstanding
 // work and is returned; measurements of already-finished jobs are
-// discarded. RunJobs decides the dispatch order itself: the runs that share
-// a warm state — a benchmark's uncached baseline first, then its jobs — are
-// dispatched together (see plan), so a warm state is built once per batch
-// and dropped as soon as its last run has forked it.
+// discarded. RunJobs decides the schedule itself: the runs of a benchmark
+// — its uncached baseline and its jobs — warm one core and follow it
+// together until each policy first acts (see share.go).
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, error) {
-	tasks, counts, err := r.plan(jobs)
+	out, _, err := r.runJobs(ctx, jobs)
+	return out, err
+}
+
+// runJobs is RunJobs also returning the finished batch.
+func (r *Runner) runJobs(ctx context.Context, jobs []Job) ([]Measurement, *batch, error) {
+	b, err := r.plan(jobs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b := r.claimWarm(counts)
-	defer r.releaseWarm(b)
+	err = b.work(ctx)
+	b.close()
+	if err != nil {
+		return nil, b, err
+	}
 	out := make([]Measurement, len(jobs))
-	prog := r.newProgress(len(jobs))
-	err = forEach(ctx, r.workers, len(tasks), func(ctx context.Context, i int) error {
-		if r.metrics != nil {
-			g := r.metrics.Gauge(obs.MetricPoolActive)
-			g.Add(1)
-			defer g.Add(-1)
+	for _, u := range b.runs {
+		if u.job < 0 {
+			continue
 		}
-		t := tasks[i]
-		if t.job < 0 {
-			_, err := r.baseline(ctx, t.prof, b)
-			return err
+		if out[u.job], err = r.measure(ctx, jobs[u.job], u.res); err != nil {
+			return nil, b, err
 		}
-		m, err := r.runJob(ctx, jobs[t.job], b)
-		if err != nil {
-			return err
-		}
-		out[t.job] = m
-		prog.done()
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	return out, nil
+	return out, b, nil
 }
 
 // progress reports N/M completion with an ETA extrapolated from the mean

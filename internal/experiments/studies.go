@@ -258,6 +258,43 @@ var CrossoverVMins = []float64{0.90, 0.85, 0.80}
 // best-duty search, exactly as in the serial implementation.
 func CrossoverInvariance(ctx context.Context, r *Runner) (CrossoverInvarianceResult, error) {
 	nb := len(r.opts.Benchmarks)
+	ms, err := r.RunJobs(ctx, crossoverJobs(r))
+	if err != nil {
+		return CrossoverInvarianceResult{}, err
+	}
+	// bestDuty scans consecutive duty rows starting at measurement offset
+	// `at`, skipping rows with violations, and returns the duty with the
+	// lowest mean slowdown (0 if every row violates).
+	bestDuty := func(at int) float64 {
+		var slows, duties []float64
+		for i, duty := range CrossoverDuties {
+			row := ms[at+i*nb : at+(i+1)*nb]
+			if AnyViolation(row) {
+				continue
+			}
+			slows = append(slows, stats.Mean(Slowdowns(row)))
+			duties = append(duties, duty)
+		}
+		if len(slows) == 0 {
+			return 0
+		}
+		return duties[ArgMin(slows)]
+	}
+
+	out := CrossoverInvarianceResult{BestDutyPerVMin: make(map[float64]float64)}
+	perVMin := len(CrossoverDuties) * nb
+	for vi, vmin := range CrossoverVMins {
+		if d := bestDuty(vi * perVMin); !stats.SameFloat(d, 0) {
+			out.BestDutyPerVMin[vmin] = d
+		}
+	}
+	out.BestDutyHyb = bestDuty(len(CrossoverVMins) * perVMin)
+	return out, nil
+}
+
+// crossoverJobs is the invariance study's batch: the PI-Hyb rows, one per
+// (vmin, duty) pair, then the Hyb rows, one per duty.
+func crossoverJobs(r *Runner) []Job {
 	var jobs []Job
 	// PI-Hyb rows: one per (vmin, duty) pair.
 	for _, vmin := range CrossoverVMins {
@@ -300,40 +337,7 @@ func CrossoverInvariance(ctx context.Context, r *Runner) (CrossoverInvarianceRes
 			jobs = append(jobs, Job{Config: hybCfg, Profile: b, Factory: factory})
 		}
 	}
-
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return CrossoverInvarianceResult{}, err
-	}
-
-	// bestDuty scans consecutive duty rows starting at measurement offset
-	// `at`, skipping rows with violations, and returns the duty with the
-	// lowest mean slowdown (0 if every row violates).
-	bestDuty := func(at int) float64 {
-		var slows, duties []float64
-		for i, duty := range CrossoverDuties {
-			row := ms[at+i*nb : at+(i+1)*nb]
-			if AnyViolation(row) {
-				continue
-			}
-			slows = append(slows, stats.Mean(Slowdowns(row)))
-			duties = append(duties, duty)
-		}
-		if len(slows) == 0 {
-			return 0
-		}
-		return duties[ArgMin(slows)]
-	}
-
-	out := CrossoverInvarianceResult{BestDutyPerVMin: make(map[float64]float64)}
-	perVMin := len(CrossoverDuties) * nb
-	for vi, vmin := range CrossoverVMins {
-		if d := bestDuty(vi * perVMin); !stats.SameFloat(d, 0) {
-			out.BestDutyPerVMin[vmin] = d
-		}
-	}
-	out.BestDutyHyb = bestDuty(len(CrossoverVMins) * perVMin)
-	return out, nil
+	return jobs
 }
 
 // String renders the study.

@@ -461,6 +461,7 @@ const (
 	MetricPoolJobs       = "pool.jobs_done"          // counter: pool jobs completed
 	MetricPoolJobSeconds = "pool.job_s"              // histogram: per-job wall-clock latency
 	MetricPoolActive     = "pool.active_workers"     // gauge: workers currently running a job
+	MetricPoolCoreSteps  = "pool.core_steps"         // counter: thermal steps advanced per cpu core, a shared step once
 
 	// Job-server (internal/serve) metrics. serve.job_s measures
 	// submission-to-completion latency as the server saw it, including
