@@ -3,14 +3,11 @@
 // errsink, allocguard, lockcheck — see internal/analysis/... and
 // DESIGN.md "Static analysis").
 //
-//	dtmlint [-allocguard.report=<file>] ./...
+//	dtmlint ./...
 //
 // dtmlint loads and type-checks the requested packages itself (via
 // `go list -export`) and exits 1 if any finding survives the
-// //dtmlint:allow suppressions. -allocguard.report=<file> also writes
-// allocguard's reachability artifact (every //dtmlint:allocfree root
-// with its local, external, and dynamic call frontier) alongside the
-// normal findings.
+// //dtmlint:allow suppressions.
 package main
 
 import (
@@ -46,13 +43,8 @@ func main() {
 		return
 	}
 
-	var reportPath string
 	var patterns []string
 	for _, a := range args {
-		if v, ok := strings.CutPrefix(a, "-allocguard.report="); ok {
-			reportPath = v
-			continue
-		}
 		if strings.HasPrefix(a, "-") {
 			fmt.Fprintf(os.Stderr, "dtmlint: unknown flag %s\n", a)
 			usage(os.Stderr)
@@ -66,16 +58,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dtmlint: %v\n", err)
 		os.Exit(1)
 	}
-	var report io.Writer
-	if reportPath != "" {
-		f, err := os.Create(reportPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dtmlint: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		report = f
-	}
 	total := 0
 	for _, cp := range pkgs {
 		findings, err := analysis.Run(cp, analyzers)
@@ -85,12 +67,6 @@ func main() {
 		}
 		analysis.Print(os.Stderr, findings)
 		total += len(findings)
-		if report != nil {
-			if err := allocguard.Report(cp, report); err != nil {
-				fmt.Fprintf(os.Stderr, "dtmlint: allocguard report: %v\n", err)
-				os.Exit(1)
-			}
-		}
 	}
 	if total > 0 {
 		fmt.Fprintf(os.Stderr, "dtmlint: %d finding(s)\n", total)
@@ -100,10 +76,7 @@ func main() {
 
 func usage(w io.Writer) {
 	fmt.Fprintln(w, `usage:
-  dtmlint [flags] [packages]   (default ./...)
-
-Flags:
-  -allocguard.report=<file>   write the allocguard reachability artifact
+  dtmlint [packages]   (default ./...)
 
 Analyzers:`)
 	for _, a := range analyzers {

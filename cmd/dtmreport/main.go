@@ -17,7 +17,9 @@
 // Compare mode diffs two perf snapshots and exits 1 when any metric
 // regressed past the threshold (CI's perf gate); -compare-metrics
 // restricts the gate to the named metrics and exits 1 when either
-// snapshot lacks one of them.
+// snapshot lacks one of them. Compare mode takes no positional
+// arguments: a stray one is a usage error, since Go's flag parsing would
+// otherwise stop there and drop every flag after it.
 package main
 
 import (
@@ -58,6 +60,11 @@ func run() error {
 		return fmt.Errorf("-compare-base and -compare-head must be given together")
 	}
 	if *compareBase != "" {
+		// flag.Parse stops at the first positional argument, so any flag
+		// after one would be silently dropped.
+		if flag.NArg() > 0 {
+			return fmt.Errorf("compare mode takes no positional arguments, got %q (usage: dtmreport -compare-base A.json -compare-head B.json [-threshold T] [-compare-metrics m1,m2])", flag.Args())
+		}
 		return compare(*compareBase, *compareHead, *threshold, *compareMetrics)
 	}
 

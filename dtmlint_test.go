@@ -78,11 +78,16 @@ func Stamp() int64 {
 	})
 }
 
-// TestDtmlintAllocguardPlant copies the working tree, plants a
-// fmt.Sprintf inside power.Compute — a //dtmlint:allocfree root backed
-// by TestComputeAllocationFree — and demands dtmlint report it at the
-// planted file:line. This proves the real annotation is present and
-// load-bearing, not just that the analyzer works on fixtures.
+// TestDtmlintAllocguardPlant copies the working tree, plants
+// fmt.Sprintf calls on and off the allocation-free paths, and checks
+// what dtmlint reports. A plant inside power.Compute — a
+// //dtmlint:allocfree root backed by TestComputeAllocationFree — must be
+// reported at its file:line, which proves the real annotation is present
+// and load-bearing, not just that the analyzer works on fixtures. A
+// plant in core's finish, which carries no annotation but is called
+// from the step root, must be reported with that root named. A plant
+// in core's start, reached only through RunContext's allow-annotated
+// call, must not be reported.
 func TestDtmlintAllocguardPlant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds dtmlint and type-checks a copied tree")
@@ -90,41 +95,75 @@ func TestDtmlintAllocguardPlant(t *testing.T) {
 	bin := buildDtmlint(t)
 	dir := copyTree(t)
 
-	const marker = "dst = dst[:n]"
-	path := filepath.Join(dir, "internal", "power", "power.go")
+	powerLoc := plantAfter(t, filepath.Join(dir, "internal", "power", "power.go"), "dst = dst[:n]")
+	corePath := filepath.Join(dir, "internal", "core", "core.go")
+	finishLoc := plantAfter(t, corePath, "func (s *Simulator) finish() {")
+	startLoc := plantAfter(t, corePath, "func (s *Simulator) start(ctx context.Context) error {")
+	if startLoc < finishLoc {
+		finishLoc++ // the start plant sits above finish's and shifts it down
+	}
+
+	lint := func(t *testing.T, pkg string) string {
+		t.Helper()
+		cmd := exec.Command(bin, pkg)
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		exit, ok := err.(*exec.ExitError)
+		if !ok || exit.ExitCode() != 1 {
+			t.Fatalf("dtmlint %s on planted allocations: err=%v (want exit 1)\n%s", pkg, err, out)
+		}
+		return string(out)
+	}
+
+	t.Run("standalone", func(t *testing.T) {
+		out := lint(t, "./internal/power")
+		want := fmt.Sprintf("power.go:%d", powerLoc)
+		if !strings.Contains(out, "allocguard") || !strings.Contains(out, want) {
+			t.Errorf("allocguard finding not located at %s:\n%s", want, out)
+		}
+	})
+
+	t.Run("transitive", func(t *testing.T) {
+		out := lint(t, "./internal/core")
+		var finish, start []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.Contains(l, fmt.Sprintf("core.go:%d:", finishLoc)) {
+				finish = append(finish, l)
+			}
+			if strings.Contains(l, fmt.Sprintf("core.go:%d:", startLoc)) {
+				start = append(start, l)
+			}
+		}
+		if len(finish) != 1 || !strings.Contains(finish[0], "(root (*Simulator).step)") {
+			t.Errorf("want one finding at core.go:%d naming root (*Simulator).step:\n%s", finishLoc, out)
+		}
+		if len(start) != 0 {
+			t.Errorf("plant behind the allow-annotated call edge was reported:\n%s", strings.Join(start, "\n"))
+		}
+	})
+}
+
+// plantAfter inserts a fmt.Sprintf statement on the line after the first
+// line of path containing marker and returns the statement's 1-based
+// line number.
+func plantAfter(t *testing.T, path, marker string) int {
+	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(string(src), "\n")
-	planted := -1
 	for i, l := range lines {
 		if strings.Contains(l, marker) {
-			planted = i + 2 // 1-based line of the inserted statement
-			lines = append(lines[:i+1], append([]string{`	_ = fmt.Sprintf("planted %d", n)`}, lines[i+1:]...)...)
-			break
+			lines = append(lines[:i+1], append([]string{`	_ = fmt.Sprintf("planted %d", 1)`}, lines[i+1:]...)...)
+			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return i + 2
 		}
 	}
-	if planted < 0 {
-		t.Fatalf("marker %q not found in power.Compute", marker)
-	}
-	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wantLoc := fmt.Sprintf("power.go:%d", planted)
-
-	t.Run("standalone", func(t *testing.T) {
-		cmd := exec.Command(bin, "./internal/power")
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		exit, ok := err.(*exec.ExitError)
-		if !ok || exit.ExitCode() != 1 {
-			t.Fatalf("dtmlint on planted allocation: err=%v (want exit 1)\n%s", err, out)
-		}
-		if !strings.Contains(string(out), "allocguard") || !strings.Contains(string(out), wantLoc) {
-			t.Errorf("allocguard finding not located at %s:\n%s", wantLoc, out)
-		}
-	})
+	t.Fatalf("marker %q not found in %s", marker, path)
+	return 0
 }
 
 // TestDtmlintLockcheckPlant plants an unguarded access to a guarded-by
@@ -154,38 +193,6 @@ func Peek(b *Box) int { return b.n }
 	}
 	if !strings.Contains(string(out), "lockcheck") || !strings.Contains(string(out), "clock.go:10") {
 		t.Errorf("lockcheck finding not located at clock.go:10:\n%s", out)
-	}
-}
-
-// TestDtmlintReportArtifact runs the standalone driver twice with
-// -allocguard.report and requires byte-identical artifacts naming the
-// power root — the property CI relies on when it uploads the file.
-func TestDtmlintReportArtifact(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds dtmlint and type-checks the module")
-	}
-	bin := buildDtmlint(t)
-	read := func(name string) string {
-		t.Helper()
-		path := filepath.Join(t.TempDir(), name)
-		cmd := exec.Command(bin, "-allocguard.report="+path, "./internal/power", "./internal/rc")
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("dtmlint -allocguard.report: %v\n%s", err, out)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(data)
-	}
-	first, second := read("a.txt"), read("b.txt")
-	if first != second {
-		t.Errorf("report artifact not deterministic:\n--- first\n%s\n--- second\n%s", first, second)
-	}
-	for _, want := range []string{"root (*Model).Compute", "root (*Network).SteadyStateInto"} {
-		if !strings.Contains(first, want) {
-			t.Errorf("report artifact missing %q:\n%s", want, first)
-		}
 	}
 }
 

@@ -12,8 +12,7 @@
 //	//dtmlint:allocfree
 //	func (m *Model) Compute(...) ...
 //
-// Every function reachable from a root through the package's static
-// call graph (internal/analysis/callgraph) is scanned for
+// Every function reachable from a root is scanned for
 // allocation-causing constructs: make/new, append, composite literals
 // that escape (&T{…}, slice and map literals), closure creation, map
 // writes, interface boxing of non-pointer values, string<->[]byte
@@ -33,6 +32,14 @@
 //     warm loop does not take. (The tracegate analyzer independently
 //     enforces that observability emissions are nil-guarded.)
 //
+// Reachability is a breadth-first walk from the roots over the
+// package's declared functions. A call is followed when it resolves
+// statically (analysis.Callee) to a function declared with a body in
+// the package; interface-method and function-value calls are never
+// followed, since their targets are unknowable without whole-program
+// analysis. Function literals are part of the function that contains
+// them, which over-approximates in the direction a contract wants.
+//
 // Everything else needs either restructuring or an explicit
 // //dtmlint:allow allocguard <reason>. An allow on a *call site* prunes
 // the whole call edge from the reachable set, so one annotated call
@@ -42,9 +49,7 @@
 //
 // Cross-package calls cannot be traversed (only export data of
 // dependencies is loaded), so each contract package annotates its own
-// entry points; the reachable-set report (dtmlint -allocguard.report)
-// lists the external and dynamic frontier of every root so reviewers
-// can see where the static contract hands off.
+// entry points.
 package allocguard
 
 import (
@@ -52,12 +57,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"io"
-	"sort"
 	"strings"
 
 	"hybriddtm/internal/analysis"
-	"hybriddtm/internal/analysis/callgraph"
 )
 
 // Directive marks a function declaration as an allocation-free root.
@@ -70,33 +72,69 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	roots := collectRoots(pass.Fset, pass.Files, pass.TypesInfo, func(pos token.Pos, msg string) {
-		pass.Reportf(pos, "%s", msg)
-	})
+	roots := collectRoots(pass)
 	if len(roots) == 0 {
 		return nil, nil
 	}
-	g := callgraph.Build(pass.Fset, pass.Files, pass.TypesInfo, pass.Pkg)
-	sup := analysis.CollectSuppressions(pass.Fset, pass.Files)
-	reached := g.Reachable(roots, func(e callgraph.Edge) bool {
-		return sup.Allowed(pass.Fset, "allocguard", e.Pos)
-	})
-	for _, r := range reached {
-		if r.Node.Decl == nil || analysis.IsTestFile(pass.Fset, r.Node.Decl.Pos()) {
-			continue
+	decls := make(map[*types.Func]*ast.FuncDecl)
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+					decls[fn] = fd
+				}
+			}
 		}
-		scanFunc(pass, r.Node.Decl, r.Root)
+	}
+	sup := analysis.CollectSuppressions(pass.Fset, pass.Files)
+
+	// Breadth-first from the roots in source order, callees in source
+	// order: each reached function is scanned once, attributed to the
+	// first root that reaches it.
+	type reached struct {
+		fd   *ast.FuncDecl
+		root *types.Func
+	}
+	var queue []reached
+	seen := make(map[*types.Func]bool)
+	for _, r := range roots {
+		if fd := decls[r]; fd != nil {
+			seen[r] = true
+			queue = append(queue, reached{fd, r})
+		}
+	}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		if !analysis.IsTestFile(pass.Fset, cur.fd.Pos()) {
+			scanFunc(pass, cur.fd, cur.root)
+		}
+		ast.Inspect(cur.fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := analysis.Callee(pass.TypesInfo, call)
+			fd := decls[fn]
+			// An allow on the call site prunes the edge and its subtree.
+			if fd == nil || seen[fn] || sup.Allowed(pass.Fset, "allocguard", call.Pos()) {
+				return true
+			}
+			seen[fn] = true
+			queue = append(queue, reached{fd, cur.root})
+			return true
+		})
 	}
 	return nil, nil
 }
 
 // collectRoots returns the declared functions carrying the allocfree
-// directive, in source order. Malformed directives (fused suffixes like
-// //dtmlint:allocfreeze) are reported through report.
-func collectRoots(fset *token.FileSet, files []*ast.File, info *types.Info, report func(token.Pos, string)) []*types.Func {
+// directive, in source order, and reports malformed directives (fused
+// suffixes like //dtmlint:allocfreeze).
+func collectRoots(pass *analysis.Pass) []*types.Func {
 	var roots []*types.Func
-	for _, f := range files {
-		if analysis.IsTestFile(fset, f.Pos()) {
+	for _, f := range pass.Files {
+		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
 		}
 		for _, decl := range f.Decls {
@@ -110,10 +148,10 @@ func collectRoots(fset *token.FileSet, files []*ast.File, info *types.Info, repo
 					continue
 				}
 				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					report(c.Pos(), "malformed dtmlint:allocfree directive: want \"//dtmlint:allocfree\" on its own comment line")
+					pass.Reportf(c.Pos(), "malformed dtmlint:allocfree directive: want \"//dtmlint:allocfree\" on its own comment line")
 					continue
 				}
-				if fn, ok := info.Defs[fd.Name].(*types.Func); ok {
+				if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 					roots = append(roots, fn)
 				}
 				break
@@ -127,7 +165,7 @@ func collectRoots(fset *token.FileSet, files []*ast.File, info *types.Info, repo
 // is not structurally exempt. root names the contract entry point for
 // attribution.
 func scanFunc(pass *analysis.Pass, fd *ast.FuncDecl, root *types.Func) {
-	rootLabel := callgraph.FuncLabel(root)
+	rootLabel := funcLabel(root)
 	var stack []ast.Node
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if n == nil {
@@ -208,7 +246,7 @@ func callMessage(pass *analysis.Pass, call *ast.CallExpr) string {
 	}
 
 	// Known allocators.
-	if fn := staticCallee(pass, call); fn != nil && fn.Pkg() != nil {
+	if fn := analysis.Callee(pass.TypesInfo, call); fn != nil && fn.Pkg() != nil {
 		switch {
 		case fn.Pkg().Path() == "fmt":
 			return fmt.Sprintf("fmt.%s allocates", fn.Name())
@@ -296,18 +334,6 @@ func isByteSlice(t types.Type) bool {
 	return ok && basic.Kind() == types.Byte
 }
 
-func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
 func isStringsBuilderMethod(fn *types.Func) bool {
 	if fn.Pkg().Path() != "strings" {
 		return false
@@ -390,15 +416,10 @@ func coldCond(pass *analysis.Pass, cond ast.Expr) bool {
 	case token.LAND, token.LOR:
 		return coldCond(pass, b.X) || coldCond(pass, b.Y)
 	case token.EQL, token.NEQ, token.LSS, token.GTR, token.LEQ, token.GEQ:
-		return isNilExpr(pass, b.X) || isNilExpr(pass, b.Y) ||
+		return analysis.IsNil(pass.TypesInfo, b.X) || analysis.IsNil(pass.TypesInfo, b.Y) ||
 			isCapLenCall(pass, b.X) || isCapLenCall(pass, b.Y)
 	}
 	return false
-}
-
-func isNilExpr(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(e)]
-	return ok && tv.IsNil()
 }
 
 func isCapLenCall(pass *analysis.Pass, e ast.Expr) bool {
@@ -414,70 +435,21 @@ func isCapLenCall(pass *analysis.Pass, e ast.Expr) bool {
 	return isBuiltin
 }
 
-// Report writes the reachable set of every allocfree root in cp to w, in
-// a deterministic, diff-friendly format: one block per root (source
-// order), listing the package-local functions the contract closes over,
-// the external frontier (calls that leave the package and hand off to
-// that package's own roots), and the dynamic call sites the graph cannot
-// see through. CI uploads this as an artifact so hot-path growth is
-// reviewable per PR.
-func Report(cp *analysis.CheckedPackage, w io.Writer) error {
-	roots := collectRoots(cp.Fset, cp.Files, cp.Info, func(token.Pos, string) {})
-	if len(roots) == 0 {
-		return nil
+// funcLabel names a root in findings: Name for package functions,
+// (Recv).Name or (*Recv).Name for methods.
+func funcLabel(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return fn.Name()
 	}
-	g := callgraph.Build(cp.Fset, cp.Files, cp.Info, cp.Pkg)
-	sup := analysis.CollectSuppressions(cp.Fset, cp.Files)
-	if _, err := fmt.Fprintf(w, "%s\n", cp.Path); err != nil {
-		return err
-	}
-	for _, root := range roots {
-		reached := g.Reachable([]*types.Func{root}, func(e callgraph.Edge) bool {
-			return sup.Allowed(cp.Fset, "allocguard", e.Pos)
-		})
-		var local, extern, dynamic []string
-		seenExt := make(map[string]bool)
-		seenDyn := make(map[string]bool)
-		for _, r := range reached {
-			if r.Node.Decl != nil {
-				if r.Node.Fn != root {
-					local = append(local, callgraph.FuncLabel(r.Node.Fn))
-				}
-				for _, d := range r.Node.Dynamic {
-					if !seenDyn[d.Desc] {
-						seenDyn[d.Desc] = true
-						dynamic = append(dynamic, d.Desc)
-					}
-				}
-			} else {
-				name := r.Node.Fn.FullName()
-				if !seenExt[name] {
-					seenExt[name] = true
-					extern = append(extern, name)
-				}
-			}
-		}
-		sort.Strings(local)
-		sort.Strings(extern)
-		sort.Strings(dynamic)
-		if _, err := fmt.Fprintf(w, "  root %s\n", callgraph.FuncLabel(root)); err != nil {
-			return err
-		}
-		for _, s := range local {
-			if _, err := fmt.Fprintf(w, "    local   %s\n", s); err != nil {
-				return err
-			}
-		}
-		for _, s := range extern {
-			if _, err := fmt.Fprintf(w, "    extern  %s\n", s); err != nil {
-				return err
-			}
-		}
-		for _, s := range dynamic {
-			if _, err := fmt.Fprintf(w, "    dynamic %s\n", s); err != nil {
-				return err
-			}
+	t := sig.Recv().Type()
+	if p, isPtr := t.(*types.Pointer); isPtr {
+		if named, ok := p.Elem().(*types.Named); ok {
+			return fmt.Sprintf("(*%s).%s", named.Obj().Name(), fn.Name())
 		}
 	}
-	return nil
+	if named, ok := t.(*types.Named); ok {
+		return fmt.Sprintf("(%s).%s", named.Obj().Name(), fn.Name())
+	}
+	return fmt.Sprintf("(%s).%s", t, fn.Name())
 }

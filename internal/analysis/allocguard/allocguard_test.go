@@ -1,7 +1,6 @@
 package allocguard_test
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -52,74 +51,5 @@ func Hot() { _ = make([]int, 4) }
 	}
 	if !strings.Contains(findings[0].Message, "malformed dtmlint:allocfree") {
 		t.Errorf("finding %q does not name the malformed directive", findings[0].Message)
-	}
-}
-
-// TestReportDeterministic: two Report passes over the same package are
-// byte-identical and list roots, locals, externs, and dynamics.
-func TestReportDeterministic(t *testing.T) {
-	const src = `package p
-
-type T struct{ vals []int }
-
-type sampler interface{ Sample() int }
-
-//dtmlint:allocfree
-func (t *T) Step(s sampler) {
-	t.inner()
-	_ = s.Sample()
-}
-
-func (t *T) inner() {}
-
-//dtmlint:allocfree
-func (t *T) Probe() {
-	t.cold() //dtmlint:allow allocguard init only
-}
-
-func (t *T) cold() { _ = make([]int, 9) }
-`
-	cp := checkSrc(t, src)
-	var a, b bytes.Buffer
-	if err := allocguard.Report(cp, &a); err != nil {
-		t.Fatal(err)
-	}
-	if err := allocguard.Report(cp, &b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Errorf("report not deterministic:\n--- first\n%s\n--- second\n%s", a.String(), b.String())
-	}
-	out := a.String()
-	for _, want := range []string{
-		"p\n",
-		"root (*T).Step",
-		"local   (*T).inner",
-		"dynamic interface method (p.sampler).Sample",
-		"root (*T).Probe",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
-	}
-	// The pruned subtree must not appear in Probe's reachable set.
-	if strings.Contains(out, "(*T).cold") {
-		t.Errorf("report lists (*T).cold despite the pruned call edge:\n%s", out)
-	}
-}
-
-// TestReportEmptyWithoutRoots: packages without annotations contribute
-// nothing to the artifact.
-func TestReportEmptyWithoutRoots(t *testing.T) {
-	cp := checkSrc(t, `package p
-
-func f() { _ = make([]int, 1) }
-`)
-	var buf bytes.Buffer
-	if err := allocguard.Report(cp, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("rootless package produced report output:\n%s", buf.String())
 	}
 }

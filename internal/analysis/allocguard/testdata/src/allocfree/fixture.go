@@ -121,3 +121,45 @@ type emitter interface{ Emit(p *point) }
 func drive(e emitter, p *point) {
 	e.Emit(p)
 }
+
+// The walk from walk: static function calls are followed transitively,
+// through generic instantiations and function literals too; calls
+// through an interface, a function value or a function-valued field are
+// not, so the functions behind them stay unscanned.
+
+type boxer interface{ Box() }
+
+type holder struct{ cb func() }
+
+var _ = holder{cb: viaField}
+
+func (holder) Box() { _ = make([]int, 5) }
+
+func viaValue() { _ = make([]int, 6) }
+
+func viaField() { _ = make([]int, 7) }
+
+func first() { second() }
+
+func second() {
+	_ = make([]int, 2) // want `make allocates in allocation-free path \(root walk\)`
+}
+
+func inLiteral() {
+	_ = make([]int, 3) // want `make allocates .* \(root walk\)`
+}
+
+func generic[T any]() {
+	_ = make([]T, 4) // want `make allocates .* \(root walk\)`
+}
+
+//dtmlint:allocfree
+func walk(b boxer, h holder) {
+	first()
+	b.Box()
+	g := viaValue
+	g()
+	h.cb()
+	func() { inLiteral() }() // want `closure creation allocates`
+	generic[int]()
+}

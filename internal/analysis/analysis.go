@@ -111,3 +111,44 @@ func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	f := fset.File(pos)
 	return f != nil && strings.HasSuffix(f.Name(), "_test.go")
 }
+
+// Callee returns the function a call statically names — a declared
+// function, a qualified pkg.F, a method selected on any receiver
+// (interface methods included), or a generic instantiation of one of
+// these — or nil for calls through function values, builtins and
+// conversions.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch idx := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(idx.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(idx.X)
+	}
+	var id *ast.Ident
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}
+
+// IsNil reports whether e is the untyped nil.
+func IsNil(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[ast.Unparen(e)]
+	return ok && tv.IsNil()
+}
+
+// IsFloat reports whether t's underlying type is a floating-point type.
+func IsFloat(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	basic, ok := t.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
+}

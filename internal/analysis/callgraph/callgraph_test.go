@@ -1,3 +1,8 @@
+// Package callgraph holds the unit tests of the call graph that
+// allocguard walks from its //dtmlint:allocfree roots. The walk itself
+// lives in allocguard; each test here runs the analyzer over one small
+// source in which every function allocates, and reads the graph's
+// edges back from which functions are reported.
 package callgraph
 
 import (
@@ -5,17 +10,62 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"sort"
+	"strings"
 	"testing"
 
 	"hybriddtm/internal/analysis"
+	"hybriddtm/internal/analysis/allocguard"
 )
 
-// check type-checks one self-contained source string (no imports, so no
-// export data is needed).
-func check(t *testing.T, src string) (*token.FileSet, []*ast.File, *types.Info, *types.Package) {
+// src roots the walk at (*T).Step. Every function allocates once, so a
+// function is reported exactly when the walk reaches it. PRUNE is
+// replaced by an allow directive in the pruning test; an allow covers
+// its own line and the next, so the line after it holds no static call.
+const src = `package p
+
+type T struct {
+	cb func()
+}
+
+//dtmlint:allocfree
+func (t *T) Step() {
+	t.prep() PRUNE
+	t.cb = viaField
+	t.cb()
+	helper()
+	var s Sampler = t
+	s.Sample()
+	f := viaValue
+	f()
+	func() { leafFromLit() }()
+}
+
+func (t *T) prep() { _ = make([]int, 1); deeper() }
+
+func deeper() { _ = make([]int, 1) }
+
+func helper() { _ = make([]int, 1) }
+
+func leafFromLit() { _ = make([]int, 1) }
+
+func viaValue() { _ = make([]int, 1) }
+
+func viaField() { _ = make([]int, 1) }
+
+func unreached() { _ = make([]int, 1); helper() }
+
+type Sampler interface{ Sample() }
+
+func (t *T) Sample() { _ = make([]int, 1) }
+`
+
+// reported runs allocguard over source and returns, per declared
+// function name, the messages of the findings inside its body.
+func reported(t *testing.T, source string) map[string][]string {
 	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments|parser.SkipObjectResolution)
+	f, err := parser.ParseFile(fset, "p.go", source, parser.ParseComments|parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,149 +74,101 @@ func check(t *testing.T, src string) (*token.FileSet, []*ast.File, *types.Info, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fset, []*ast.File{f}, info, pkg
-}
-
-const src = `package p
-
-type T struct {
-	cb func()
-}
-
-func (t *T) Step() {
-	t.prep()
-	helper()
-	t.cb()
-	var s Sampler = t
-	s.Sample()
-	f := helper
-	f()
-	func() { leafFromLit() }()
-}
-
-func (t *T) prep() { helper() }
-
-func helper() {}
-
-func leafFromLit() {}
-
-func unreached() { helper() }
-
-type Sampler interface{ Sample() }
-
-func (t *T) Sample() {}
-`
-
-func build(t *testing.T) *Graph {
-	t.Helper()
-	fset, files, info, pkg := check(t, src)
-	return Build(fset, files, info, pkg)
-}
-
-func fnByName(t *testing.T, g *Graph, label string) *types.Func {
-	t.Helper()
-	for _, fn := range g.Funcs() {
-		if FuncLabel(fn) == label {
-			return fn
+	cp := &analysis.CheckedPackage{Path: "p", Fset: fset, Files: []*ast.File{f}, Pkg: pkg, Info: info}
+	findings, err := analysis.Run(cp, []*analysis.Analyzer{allocguard.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]string)
+	for _, fd := range f.Decls {
+		fd, ok := fd.(*ast.FuncDecl)
+		if !ok {
+			continue
+		}
+		from, to := fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line
+		for _, fi := range findings {
+			if fi.Posn.Line >= from && fi.Posn.Line <= to {
+				out[fd.Name.Name] = append(out[fd.Name.Name], fi.Message)
+			}
 		}
 	}
-	t.Fatalf("no function %q in graph", label)
-	return nil
+	return out
 }
 
+func unpruned(t *testing.T) map[string][]string {
+	t.Helper()
+	return reported(t, strings.Replace(src, "PRUNE", "", 1))
+}
+
+func names(m map[string][]string) []string {
+	var out []string
+	for name := range m {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestStaticEdges: calls that resolve to a function declared in the
+// package are followed, whether a method, a plain function, or a call
+// inside an immediately invoked function literal.
 func TestStaticEdges(t *testing.T) {
-	g := build(t)
-	step := g.NodeOf(fnByName(t, g, "(*T).Step"))
-	var callees []string
-	for _, e := range step.Calls {
-		callees = append(callees, FuncLabel(e.Callee))
-	}
-	// Source order: t.prep(), helper(), leafFromLit() (attributed to Step
-	// through the literal's body).
-	want := []string{"(*T).prep", "helper", "leafFromLit"}
-	if len(callees) != len(want) {
-		t.Fatalf("Step calls %v, want %v", callees, want)
-	}
-	for i := range want {
-		if callees[i] != want[i] {
-			t.Errorf("call %d = %s, want %s", i, callees[i], want[i])
+	got := unpruned(t)
+	for _, name := range []string{"prep", "helper", "leafFromLit"} {
+		if len(got[name]) == 0 {
+			t.Errorf("%s not reached from Step; reported: %v", name, names(got))
 		}
 	}
 }
 
+// TestDynamicSinks: interface-method, function-value and
+// function-valued field calls are not followed, so the allocating
+// targets behind them are not reported.
 func TestDynamicSinks(t *testing.T) {
-	g := build(t)
-	step := g.NodeOf(fnByName(t, g, "(*T).Step"))
-	var descs []string
-	for _, d := range step.Dynamic {
-		descs = append(descs, d.Desc)
-	}
-	want := []string{
-		"function-valued field cb",
-		"interface method (p.Sampler).Sample",
-		"function value f",
-	}
-	if len(descs) != len(want) {
-		t.Fatalf("Step dynamic sites %v, want %v", descs, want)
-	}
-	for i := range want {
-		if descs[i] != want[i] {
-			t.Errorf("dynamic %d = %q, want %q", i, descs[i], want[i])
+	got := unpruned(t)
+	for _, name := range []string{"Sample", "viaValue", "viaField"} {
+		if msgs := got[name]; len(msgs) != 0 {
+			t.Errorf("%s is only called dynamically but was reported: %v", name, msgs)
 		}
 	}
 }
 
+// TestReachable: the reached set is the transitive closure of the static
+// edges from the root, and every finding names that root.
 func TestReachable(t *testing.T) {
-	g := build(t)
-	step := fnByName(t, g, "(*T).Step")
-	var labels []string
-	for _, r := range g.Reachable([]*types.Func{step}, nil) {
-		labels = append(labels, FuncLabel(r.Node.Fn))
-		if FuncLabel(r.Root) != "(*T).Step" {
-			t.Errorf("%s attributed to root %s", FuncLabel(r.Node.Fn), FuncLabel(r.Root))
-		}
+	got := unpruned(t)
+	want := []string{"Step", "deeper", "helper", "leafFromLit", "prep"}
+	if have := names(got); strings.Join(have, ",") != strings.Join(want, ",") {
+		t.Fatalf("reported in %v, want %v", have, want)
 	}
-	want := []string{"(*T).Step", "(*T).prep", "helper", "leafFromLit"}
-	if len(labels) != len(want) {
-		t.Fatalf("reachable %v, want %v", labels, want)
-	}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Errorf("reachable[%d] = %s, want %s", i, labels[i], want[i])
+	for name, msgs := range got {
+		for _, m := range msgs {
+			if !strings.Contains(m, "(root (*T).Step)") {
+				t.Errorf("finding in %s not attributed to (*T).Step: %q", name, m)
+			}
 		}
 	}
 }
 
+// TestReachablePrune: an allow directive on a call site prunes that edge
+// and the subtree only it reaches; other edges still reach their
+// targets.
 func TestReachablePrune(t *testing.T) {
-	g := build(t)
-	step := fnByName(t, g, "(*T).Step")
-	prep := fnByName(t, g, "(*T).prep")
-	reached := g.Reachable([]*types.Func{step}, func(e Edge) bool {
-		return e.Callee == prep
-	})
-	for _, r := range reached {
-		if r.Node.Fn == prep {
-			t.Errorf("pruned edge to prep was still traversed")
+	got := reported(t, strings.Replace(src, "PRUNE", "//dtmlint:allow allocguard init phase", 1))
+	for _, name := range []string{"prep", "deeper"} {
+		if msgs := got[name]; len(msgs) != 0 {
+			t.Errorf("%s is behind a pruned edge but was reported: %v", name, msgs)
 		}
 	}
-	// helper is still reached through the direct Step -> helper edge.
-	found := false
-	for _, r := range reached {
-		if FuncLabel(r.Node.Fn) == "helper" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("helper not reached despite direct edge from Step")
+	if len(got["helper"]) == 0 {
+		t.Errorf("helper not reached despite its direct edge from Step; reported: %v", names(got))
 	}
 }
 
+// TestUnreachedStaysOut: a function no root reaches is not scanned, even
+// when it calls a reached one.
 func TestUnreachedStaysOut(t *testing.T) {
-	g := build(t)
-	step := fnByName(t, g, "(*T).Step")
-	for _, r := range g.Reachable([]*types.Func{step}, nil) {
-		if FuncLabel(r.Node.Fn) == "unreached" {
-			t.Errorf("unreached function reported reachable")
-		}
+	if msgs := unpruned(t)["unreached"]; len(msgs) != 0 {
+		t.Errorf("unreached function was scanned: %v", msgs)
 	}
 }

@@ -73,23 +73,8 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// callee resolves the called *types.Func of a call, or nil.
-func callee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
-	return fn
-}
-
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	fn := callee(pass, call)
+	fn := analysis.Callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return
 	}

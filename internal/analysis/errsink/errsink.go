@@ -120,17 +120,8 @@ func neverFails(fn *types.Func) bool {
 // sink/artifact/manifest write: declared in an obs or report package,
 // named Write*/Close/Flush/Sync, returning error as its last result.
 func sinkCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, ok := pass.TypesInfo.Uses[id].(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := analysis.Callee(pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
 	switch analysis.PkgBase(fn.Pkg().Path()) {

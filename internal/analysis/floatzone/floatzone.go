@@ -14,7 +14,6 @@ package floatzone
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
 
 	"hybriddtm/internal/analysis"
 )
@@ -56,7 +55,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func check(pass *analysis.Pass, b *ast.BinaryExpr) {
-	if !isFloat(pass.TypesInfo.TypeOf(b.X)) && !isFloat(pass.TypesInfo.TypeOf(b.Y)) {
+	if !analysis.IsFloat(pass.TypesInfo.TypeOf(b.X)) && !analysis.IsFloat(pass.TypesInfo.TypeOf(b.Y)) {
 		return
 	}
 	// A comparison folded at compile time (both operands constant) cannot
@@ -66,12 +65,4 @@ func check(pass *analysis.Pass, b *ast.BinaryExpr) {
 	}
 	pass.Reportf(b.OpPos,
 		"floating-point %s: use stats.ApproxEqual/ApproxZero (tolerance) or stats.SameFloat (intended exact comparison)", b.Op)
-}
-
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	basic, ok := t.Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsFloat != 0
 }

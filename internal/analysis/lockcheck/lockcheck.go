@@ -15,13 +15,16 @@
 //
 //	state string // guarded-by: Server.mu
 //
+// The guard must be a sync.Mutex: the tree uses no sync.RWMutex, and an
+// annotation naming one is reported as malformed rather than checked
+// with read/write holds nobody needs.
+//
 // Every read or write of a guarded field must then be dominated by a
 // hold of that mutex. The analyzer tracks holds through each function
-// body with a block-structured walk: mu.Lock()/mu.RLock() acquire,
-// mu.Unlock()/mu.RUnlock() release, `defer mu.Unlock()` holds to the end
-// of the function, branches fork the held set and joins intersect it
-// (branches that end in return/break/continue do not constrain the
-// join). Writes require the write lock; reads accept an RLock.
+// body with a block-structured walk: mu.Lock() acquires, mu.Unlock()
+// releases, `defer mu.Unlock()` holds to the end of the function,
+// branches fork the held set and joins intersect it (branches that end
+// in return/break/continue do not constrain the join).
 //
 // Interprocedural holds follow the repository's naming convention:
 // a method whose name ends in "Locked" is assumed to run with its
@@ -73,8 +76,8 @@ type checker struct {
 	pass *analysis.Pass
 	// specs maps each annotated field to its guard.
 	specs map[*types.Var]*spec
-	// mutexFields lists the sync.Mutex/RWMutex fields of each named
-	// struct, for the *Locked-method entry assumption.
+	// mutexFields lists the sync.Mutex fields of each named struct, for
+	// the *Locked-method entry assumption.
 	mutexFields map[*types.Named][]string
 }
 
@@ -153,7 +156,9 @@ func (c *checker) recordStruct(owner *types.Named, st *ast.StructType) {
 			c.pass.Reportf(fld.Pos(), "malformed guarded-by annotation: want \"// guarded-by: <mutexfield>\" or \"// guarded-by: <Type>.<mutexfield>\"")
 			continue
 		}
-		sp := &spec{owner: owner, sameStruct: true}
+		sp := &spec{owner: owner, sameStruct: true, mutexField: name}
+		holder, _ := c.pass.TypesInfo.TypeOf(st).(*types.Struct)
+		where := "the struct"
 		if typeName, field, ok := strings.Cut(name, "."); ok {
 			// Cross-struct form: Type.mutexfield.
 			obj := c.pass.Pkg.Scope().Lookup(typeName)
@@ -162,20 +167,20 @@ func (c *checker) recordStruct(owner *types.Named, st *ast.StructType) {
 				c.pass.Reportf(fld.Pos(), "guarded-by %s: no type %s in this package", name, typeName)
 				continue
 			}
-			named, _ := tn.Type().(*types.Named)
-			if named == nil || !hasMutexField(named, field) {
-				c.pass.Reportf(fld.Pos(), "guarded-by %s: %s has no sync.Mutex/RWMutex field %s", name, typeName, field)
-				continue
-			}
-			sp.owner = named
+			sp.owner, _ = tn.Type().(*types.Named)
 			sp.mutexField = field
 			sp.sameStruct = false
-		} else {
-			if !structHasMutex(c.pass, st, name) {
-				c.pass.Reportf(fld.Pos(), "guarded-by %s: the struct has no sync.Mutex/RWMutex field %s", name, name)
-				continue
-			}
-			sp.mutexField = name
+			holder, _ = tn.Type().Underlying().(*types.Struct)
+			where = typeName
+		}
+		switch guardKind(holder, sp.mutexField) {
+		case "Mutex":
+		case "RWMutex":
+			c.pass.Reportf(fld.Pos(), "malformed guarded-by annotation: %s is a sync.RWMutex; guard with a sync.Mutex", name)
+			continue
+		default:
+			c.pass.Reportf(fld.Pos(), "guarded-by %s: %s has no sync.Mutex field %s", name, where, sp.mutexField)
+			continue
 		}
 		for _, fname := range fld.Names {
 			if v, ok := c.pass.TypesInfo.Defs[fname].(*types.Var); ok {
@@ -208,47 +213,35 @@ func guardDirective(fld *ast.Field) *directive {
 	return nil
 }
 
-func structHasMutex(pass *analysis.Pass, st *ast.StructType, name string) bool {
-	for _, fld := range st.Fields.List {
-		for _, fname := range fld.Names {
-			if fname.Name == name {
-				v, ok := pass.TypesInfo.Defs[fname].(*types.Var)
-				return ok && isMutex(v.Type())
-			}
+// guardKind returns the sync type name ("Mutex", "RWMutex", ...) of st's
+// field name, or "" when there is no such field or it is not from sync.
+func guardKind(st *types.Struct, name string) string {
+	for i := 0; st != nil && i < st.NumFields(); i++ {
+		if f := st.Field(i); f.Name() == name {
+			return syncType(f.Type())
 		}
 	}
-	return false
+	return ""
 }
 
-func hasMutexField(named *types.Named, field string) bool {
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == field {
-			return isMutex(f.Type())
-		}
-	}
-	return false
-}
-
-// isMutex matches sync.Mutex and sync.RWMutex (possibly via pointer).
-func isMutex(t types.Type) bool {
+// syncType returns the name of t (or of what t points to) when it is
+// declared in package sync, and "" otherwise.
+func syncType(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	named, ok := t.(*types.Named)
-	if !ok || named.Obj().Pkg() == nil {
-		return false
+	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
+		return ""
 	}
-	return named.Obj().Pkg().Path() == "sync" &&
-		(named.Obj().Name() == "Mutex" || named.Obj().Name() == "RWMutex")
+	return named.Obj().Name()
 }
+
+// isMutex matches sync.Mutex (possibly via pointer).
+func isMutex(t types.Type) bool { return syncType(t) == "Mutex" }
 
 // held is one acquired mutex.
 type held struct {
-	write bool
 	owner *types.Named // type whose field the mutex is; nil for loose mutex vars
 	field string       // mutex field (or variable) name
 }
@@ -264,12 +257,11 @@ func (h heldSet) clone() heldSet {
 	return out
 }
 
-// intersect keeps only holds present in both (weakest kind wins).
+// intersect keeps only holds present in both.
 func intersect(a, b heldSet) heldSet {
 	out := make(heldSet)
 	for k, va := range a {
-		if vb, ok := b[k]; ok {
-			va.write = va.write && vb.write
+		if _, ok := b[k]; ok {
 			out[k] = va
 		}
 	}
@@ -293,7 +285,7 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 		if recvObj, ok := c.pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]].(*types.Var); ok {
 			if named := namedOf(recvObj.Type()); named != nil {
 				for _, m := range c.mutexFields[named] {
-					h[recvName+"."+m] = held{write: true, owner: named, field: m}
+					h[recvName+"."+m] = held{owner: named, field: m}
 				}
 			}
 		}
@@ -331,10 +323,9 @@ func (fs *funcState) walkStmt(st ast.Stmt, h heldSet) (heldSet, bool) {
 		return fs.walkStmt(st.Stmt, h)
 	case *ast.ExprStmt:
 		if key, hd, op, ok := fs.lockOp(st.X); ok {
-			switch op {
-			case "Lock", "RLock":
+			if op == "Lock" {
 				h[key] = hd
-			case "Unlock", "RUnlock":
+			} else {
 				delete(h, key)
 			}
 			return h, false
@@ -345,7 +336,7 @@ func (fs *funcState) walkStmt(st ast.Stmt, h heldSet) (heldSet, bool) {
 		// A deferred Unlock holds the mutex to the end of the function:
 		// skip the release. Everything else in the call (fn + args) is
 		// evaluated now.
-		if _, _, op, ok := fs.lockOp(st.Call); ok && (op == "Unlock" || op == "RUnlock") {
+		if _, _, op, ok := fs.lockOp(st.Call); ok && op == "Unlock" {
 			return h, false
 		}
 		fs.scan(st.Call, h, false)
@@ -483,8 +474,8 @@ func (fs *funcState) walkCases(body *ast.BlockStmt, h heldSet) {
 	}
 }
 
-// lockOp matches `<expr>.Lock()` / `Unlock` / `RLock` / `RUnlock` on a
-// sync mutex, returning the canonical key and hold descriptor.
+// lockOp matches `<expr>.Lock()` / `Unlock` on a sync.Mutex, returning
+// the canonical key and hold descriptor.
 func (fs *funcState) lockOp(e ast.Expr) (key string, hd held, op string, ok bool) {
 	call, isCall := ast.Unparen(e).(*ast.CallExpr)
 	if !isCall {
@@ -496,7 +487,7 @@ func (fs *funcState) lockOp(e ast.Expr) (key string, hd held, op string, ok bool
 	}
 	op = sel.Sel.Name
 	switch op {
-	case "Lock", "Unlock", "RLock", "RUnlock":
+	case "Lock", "Unlock":
 	default:
 		return "", held{}, "", false
 	}
@@ -508,7 +499,6 @@ func (fs *funcState) lockOp(e ast.Expr) (key string, hd held, op string, ok bool
 	if key == "" {
 		return "", held{}, "", false
 	}
-	hd = held{write: op == "Lock" || op == "Unlock"}
 	if rs, isSel := recv.(*ast.SelectorExpr); isSel {
 		hd.owner = namedOf(fs.c.pass.TypesInfo.TypeOf(rs.X))
 		hd.field = rs.Sel.Name
@@ -694,21 +684,21 @@ func (fs *funcState) checkAccess(selExpr *ast.SelectorExpr, sp *spec, h heldSet,
 	if sp.sameStruct {
 		key := exprKey(base)
 		if key != "" {
-			if hd, ok := h[key+"."+sp.mutexField]; ok && (hd.write || !write) {
+			if _, ok := h[key+"."+sp.mutexField]; ok {
 				return
 			}
 		} else {
 			// Unresolvable base (s.jobs[id].x): accept any hold of the
 			// right owner+field.
 			for _, hd := range h {
-				if hd.owner == ownerOf(sp, base, fs.c.pass) && hd.field == sp.mutexField && (hd.write || !write) {
+				if hd.owner == ownerOf(sp, base, fs.c.pass) && hd.field == sp.mutexField {
 					return
 				}
 			}
 		}
 	} else {
 		for _, hd := range h {
-			if hd.owner == sp.owner && hd.field == sp.mutexField && (hd.write || !write) {
+			if hd.owner == sp.owner && hd.field == sp.mutexField {
 				return
 			}
 		}

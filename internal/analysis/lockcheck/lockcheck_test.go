@@ -46,13 +46,6 @@ type Mutex struct{ state int32 }
 
 func (m *Mutex) Lock()   {}
 func (m *Mutex) Unlock() {}
-
-type RWMutex struct{ state int32 }
-
-func (m *RWMutex) Lock()    {}
-func (m *RWMutex) Unlock()  {}
-func (m *RWMutex) RLock()   {}
-func (m *RWMutex) RUnlock() {}
 `, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err

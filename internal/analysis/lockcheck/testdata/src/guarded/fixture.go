@@ -9,10 +9,8 @@ import "sync"
 
 type Server struct {
 	mu       sync.Mutex
-	rw       sync.RWMutex
 	jobs     map[string]int // guarded-by: mu
 	draining bool           // guarded-by: mu
-	stats    []int          // guarded-by: rw
 }
 
 type job struct {
@@ -51,24 +49,6 @@ func (s *Server) Stale(k string) int {
 	s.mu.Lock()
 	s.mu.Unlock()
 	return s.jobs[k] // want `read of jobs without holding mu`
-}
-
-// Sum reads under an RLock: reads accept the read lock.
-func (s *Server) Sum() int {
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	n := 0
-	for _, v := range s.stats {
-		n += v
-	}
-	return n
-}
-
-// Bump writes under only an RLock: writes need the write lock.
-func (s *Server) Bump() {
-	s.rw.RLock()
-	defer s.rw.RUnlock()
-	s.stats = append(s.stats, 1) // want `write to stats without holding rw`
 }
 
 // Work mirrors serve's worker loop: the draining branch unlocks and
@@ -163,17 +143,23 @@ func (s *Server) SpawnSafe() {
 }
 
 // Cfg holds the malformed-annotation cases: each is reported at the
-// field rather than silently ignored.
+// field rather than silently ignored. A sync.RWMutex guard is malformed:
+// lockcheck guards with sync.Mutex only.
 type Cfg struct {
 	mu sync.Mutex
+	rw sync.RWMutex
 	// guarded-by:
 	a int // want `malformed guarded-by annotation`
 	// guarded-by: nosuch
-	b int // want `the struct has no sync.Mutex/RWMutex field nosuch`
+	b int // want `the struct has no sync.Mutex field nosuch`
 	// guarded-by: Missing.mu
 	c int // want `no type Missing in this package`
 	// guarded-by: job.state
-	d int // want `job has no sync.Mutex/RWMutex field state`
+	d int // want `job has no sync.Mutex field state`
+	// guarded-by: rw
+	e []int // want `malformed guarded-by annotation: rw is a sync.RWMutex`
+	// guarded-by: Cfg.rw
+	f []int // want `malformed guarded-by annotation: Cfg.rw is a sync.RWMutex`
 }
 
 var _ = leak

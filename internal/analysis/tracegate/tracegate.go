@@ -126,8 +126,8 @@ func condProvesNonNil(pass *analysis.Pass, cond ast.Expr, obj types.Object) bool
 		case token.LAND:
 			return condProvesNonNil(pass, b.X, obj) || condProvesNonNil(pass, b.Y, obj)
 		case token.NEQ:
-			return isObjIdent(pass, b.X, obj) && isNil(pass, b.Y) ||
-				isObjIdent(pass, b.Y, obj) && isNil(pass, b.X)
+			return isObjIdent(pass, b.X, obj) && analysis.IsNil(pass.TypesInfo, b.Y) ||
+				isObjIdent(pass, b.Y, obj) && analysis.IsNil(pass.TypesInfo, b.X)
 		}
 	}
 	return false
@@ -136,11 +136,6 @@ func condProvesNonNil(pass *analysis.Pass, cond ast.Expr, obj types.Object) bool
 func isObjIdent(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && pass.TypesInfo.Uses[id] == obj
-}
-
-func isNil(pass *analysis.Pass, e ast.Expr) bool {
-	tv, ok := pass.TypesInfo.Types[ast.Unparen(e)]
-	return ok && tv.IsNil()
 }
 
 // isTracer matches any named interface type called Tracer (obs.Tracer in

@@ -244,7 +244,7 @@ func (c *checker) unitOf(e ast.Expr) string {
 	e = ast.Unparen(e)
 	// Only floating-point quantities carry units here; ints are indices
 	// and counters (node spW, cycle counts) no matter how they are named.
-	if !isFloat(c.pass.TypesInfo.TypeOf(e)) {
+	if !analysis.IsFloat(c.pass.TypesInfo.TypeOf(e)) {
 		return ""
 	}
 	if c.pass.TypesInfo.Types[e].Value != nil {
@@ -323,12 +323,12 @@ func (c *checker) unitOf(e ast.Expr) string {
 func (c *checker) unitOfName(e ast.Expr) string {
 	switch e := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		if !isFloat(c.pass.TypesInfo.TypeOf(e)) {
+		if !analysis.IsFloat(c.pass.TypesInfo.TypeOf(e)) {
 			return ""
 		}
 		return c.unitForObject(c.pass.TypesInfo.Uses[e], e.Name)
 	case *ast.SelectorExpr:
-		if !isFloat(c.pass.TypesInfo.TypeOf(e)) {
+		if !analysis.IsFloat(c.pass.TypesInfo.TypeOf(e)) {
 			return ""
 		}
 		return c.unitForObject(c.pass.TypesInfo.Uses[e.Sel], e.Sel.Name)
@@ -382,14 +382,6 @@ func nameUnit(name string) string {
 
 func isLowerOrDigit(b byte) bool {
 	return b >= 'a' && b <= 'z' || b >= '0' && b <= '9'
-}
-
-func isFloat(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	basic, ok := t.Underlying().(*types.Basic)
-	return ok && basic.Info()&types.IsFloat != 0
 }
 
 func exprName(e ast.Expr) string {

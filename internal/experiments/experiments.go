@@ -15,7 +15,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"runtime"
@@ -53,11 +52,12 @@ type Options struct {
 
 	// Workers bounds how many goroutines simulate at once. Zero means
 	// runtime.GOMAXPROCS(0); 1 reproduces serial execution. Results are
-	// identical for every setting. Within a RunJobs batch a worker may
-	// step several runs of one benchmark on one shared core until their
-	// policies first act (see share.go), so a worker is not always one
-	// run; at most Workers + 1 cpu cores are alive at once. A
-	// Config.Tracer serves one run at a time, so NewRunner accepts one
+	// identical for every setting. Every simulation a Runner makes —
+	// jobs and baselines alike — runs in a RunJobs batch, where a worker
+	// may step several runs of one benchmark on one shared core until
+	// their policies first act (see share.go), so a worker is not always
+	// one run; at most Workers + 1 cpu cores are alive at once per batch.
+	// A Config.Tracer serves one run at a time, so NewRunner accepts one
 	// only with Workers set to 1.
 	Workers int
 }
@@ -166,9 +166,9 @@ func HybPolicy(cfg core.Config, stall bool) PolicyFactory {
 // no-DTM run of each benchmark is shared by every slowdown measurement.
 // A Runner is safe for concurrent use; the baseline cache is singleflight
 // (concurrent requests for the same benchmark trigger exactly one
-// simulation, everyone else waits for it). Within one RunJobs batch the
-// runs of a benchmark also share its warm state and, until each policy
-// first acts, its cpu core (see share.go).
+// simulation, everyone else waits for it). Every simulation runs in a
+// RunJobs batch, within which the runs of a benchmark also share its warm
+// state and, until each policy first acts, its cpu core (see share.go).
 type Runner struct {
 	opts    Options
 	workers int
@@ -223,53 +223,36 @@ func (r *Runner) Options() Options { return r.opts }
 // Workers returns the effective worker-pool size.
 func (r *Runner) Workers() int { return r.workers }
 
-// BaselineContext returns the cached no-DTM result for a benchmark.
-// Concurrent callers for the same benchmark share one simulation. A result aborted by cancellation is
-// not cached, so a later call with a live context recomputes it; any other
-// error is cached (it is deterministic and would simply recur).
+// BaselineContext returns the cached no-DTM result for a benchmark. It
+// waits for a cached or in-flight entry, and otherwise runs the baseline
+// as a batch of its own (see RunJobs), so concurrent callers for the same
+// benchmark share one simulation. A baseline whose batch fails — a
+// canceled one included — is not cached: a later call computes it afresh.
 func (r *Runner) BaselineContext(ctx context.Context, prof trace.Profile) (core.Result, error) {
 	for {
 		r.mu.Lock()
 		e, ok := r.baselines[prof.Name]
-		if !ok {
-			e = &baselineEntry{done: make(chan struct{})}
-			r.baselines[prof.Name] = e
-			r.mu.Unlock()
-			e.res, e.err = r.measureBaseline(ctx, prof)
-			if e.err != nil && errors.Is(e.err, ctx.Err()) {
-				r.mu.Lock()
-				delete(r.baselines, prof.Name)
-				r.mu.Unlock()
-			}
-			close(e.done)
-			return e.res, e.err
-		}
 		r.mu.Unlock()
+		if !ok {
+			// plan looks again under the lock: if another caller got there
+			// first, this batch is empty and the loop waits on its entry.
+			if _, _, err := r.runJobs(ctx, nil, []trace.Profile{prof}); err != nil {
+				return core.Result{}, err
+			}
+			continue
+		}
 		select {
 		case <-e.done:
-			if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-				// The owner was canceled; retry under our own context.
+			if e.err != nil {
+				// The owning batch failed or was canceled; retry under our
+				// own context.
 				continue
 			}
-			return e.res, e.err
+			return e.res, nil
 		case <-ctx.Done():
 			return core.Result{}, ctx.Err()
 		}
 	}
-}
-
-// measureBaseline runs the uncached no-DTM simulation.
-func (r *Runner) measureBaseline(ctx context.Context, prof trace.Profile) (core.Result, error) {
-	sim, err := core.New(r.instrument(r.opts.Config), prof, nil)
-	if err != nil {
-		return core.Result{}, err
-	}
-	res, err := sim.RunContext(ctx, r.opts.Instructions)
-	if err != nil {
-		return core.Result{}, err
-	}
-	r.ranBaseline(prof, res)
-	return res, nil
 }
 
 // ranBaseline records a finished baseline run.
@@ -298,34 +281,6 @@ type Measurement struct {
 	Policy    string
 	Slowdown  float64 // execution time per instruction relative to no DTM
 	Result    core.Result
-}
-
-// RunJobContext executes one job on the calling goroutine and returns its
-// slowdown against the cached baseline, which is always taken from the
-// runner's base config (what the paper normalizes against), whatever
-// job.Config overrides. It shares the runner's singleflight baseline
-// cache and metrics registry with every other caller. It is the entry point for drivers that manage their own
-// concurrency (the dtmserve worker pool); batch drivers use RunJobs.
-//
-// The policy runs first because only the normalization needs the
-// baseline: a worker that waited for it up front would idle while a
-// sibling computes it.
-func (r *Runner) RunJobContext(ctx context.Context, job Job) (Measurement, error) {
-	start := time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
-	pol, err := job.Factory.New()
-	if err != nil {
-		return Measurement{}, err
-	}
-	sim, err := core.New(r.instrument(job.Config), job.Profile, pol)
-	if err != nil {
-		return Measurement{}, err
-	}
-	res, err := sim.RunContext(ctx, r.opts.Instructions)
-	if err != nil {
-		return Measurement{}, err
-	}
-	r.ranJob(job, res, start)
-	return r.measure(ctx, job, res)
 }
 
 // ranJob records a finished job run. Its wall-clock latency since start

@@ -90,10 +90,11 @@ func TestRunProducesSlowdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := r.Options().Benchmarks[0]
-	m, err := r.RunJobContext(context.Background(), Job{Config: r.Options().Config, Profile: p, Factory: DVSPolicy(r.Options().Config)})
+	ms, err := r.RunJobs(context.Background(), []Job{{Config: r.Options().Config, Profile: p, Factory: DVSPolicy(r.Options().Config)}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	m := ms[0]
 	if m.Benchmark != "gzip" || m.Policy != "DVS" {
 		t.Errorf("labels: %+v", m)
 	}

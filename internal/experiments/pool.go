@@ -32,13 +32,14 @@ type Job struct {
 // — its uncached baseline and its jobs — warm one core and follow it
 // together until each policy first acts (see share.go).
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, error) {
-	out, _, err := r.runJobs(ctx, jobs)
+	out, _, err := r.runJobs(ctx, jobs, nil)
 	return out, err
 }
 
-// runJobs is RunJobs also returning the finished batch.
-func (r *Runner) runJobs(ctx context.Context, jobs []Job) ([]Measurement, *batch, error) {
-	b, err := r.plan(jobs)
+// runJobs is RunJobs that also computes the baselines of bases that are
+// neither cached nor in flight, and returns the finished batch.
+func (r *Runner) runJobs(ctx context.Context, jobs []Job, bases []trace.Profile) ([]Measurement, *batch, error) {
+	b, err := r.plan(jobs, bases)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -85,7 +86,8 @@ func (p *progress) done() {
 }
 
 // forEach runs fn(ctx, i) for every i in [0, n) on at most `workers`
-// goroutines. The first error cancels the derived context, stops feeding
+// goroutines. It serves MeritStudies, whose runs are cpu-only; every
+// coupled simulation goes through a RunJobs batch. The first error cancels the derived context, stops feeding
 // new indices, and is returned once all in-flight calls have finished.
 // When several calls fail concurrently the error of whichever recorded
 // first is kept (errors here are deterministic per index, so which one

@@ -78,22 +78,33 @@ type batch struct {
 	peak  int        // most cores alive at once; guarded-by: mu
 }
 
-// plan groups a batch's runs by warm key, in order of first submission,
-// with the baseline of every profile not already cached or in flight
-// leading its group. The batch owns those baselines' cache entries until
+// plan groups a batch's runs by warm key, in order of first submission:
+// the profiles of bases, whose baselines are wanted without jobs, then the
+// jobs. The baseline of every profile not already cached or in flight
+// leads its group, and the batch owns those baselines' cache entries until
 // it has run them.
-func (r *Runner) plan(jobs []Job) (*batch, error) {
+func (r *Runner) plan(jobs []Job, bases []trace.Profile) (*batch, error) {
 	keys := make([]string, len(jobs))
 	baseKeys := make(map[string]string) // by profile name
+	baseKey := func(prof trace.Profile) error {
+		var err error
+		if _, ok := baseKeys[prof.Name]; !ok {
+			baseKeys[prof.Name], err = core.WarmKey(r.opts.Config, prof)
+		}
+		return err
+	}
+	for _, p := range bases {
+		if err := baseKey(p); err != nil {
+			return nil, err
+		}
+	}
 	for i, j := range jobs {
 		var err error
 		if keys[i], err = core.WarmKey(j.Config, j.Profile); err != nil {
 			return nil, err
 		}
-		if _, ok := baseKeys[j.Profile.Name]; !ok {
-			if baseKeys[j.Profile.Name], err = core.WarmKey(r.opts.Config, j.Profile); err != nil {
-				return nil, err
-			}
+		if err := baseKey(j.Profile); err != nil {
+			return nil, err
 		}
 	}
 	b := &batch{r: r, jobs: jobs, prog: r.newProgress(len(jobs))}
@@ -109,14 +120,20 @@ func (r *Runner) plan(jobs []Job) (*batch, error) {
 		b.groups[g] = append(b.groups[g], u)
 		b.runs = append(b.runs, u)
 	}
+	addBase := func(prof trace.Profile) {
+		if _, ok := r.baselines[prof.Name]; !ok {
+			e := &baselineEntry{done: make(chan struct{})}
+			r.baselines[prof.Name] = e
+			add(baseKeys[prof.Name], &run{job: -1, cfg: r.opts.Config, prof: prof, base: e})
+		}
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, p := range bases {
+		addBase(p)
+	}
 	for i, j := range jobs {
-		if _, ok := r.baselines[j.Profile.Name]; !ok {
-			e := &baselineEntry{done: make(chan struct{})}
-			r.baselines[j.Profile.Name] = e
-			add(baseKeys[j.Profile.Name], &run{job: -1, cfg: r.opts.Config, prof: j.Profile, base: e})
-		}
+		addBase(j.Profile)
 		add(keys[i], &run{job: i, cfg: j.Config, prof: j.Profile})
 	}
 	return b, nil

@@ -74,7 +74,7 @@ func TestSharedRunsMatchSolo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, b, err := r.runJobs(context.Background(), bt.jobs)
+			got, b, err := r.runJobs(context.Background(), bt.jobs, nil)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", bt.name, workers, err)
 			}

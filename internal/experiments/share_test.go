@@ -24,20 +24,10 @@ func twoBenchOptions(t *testing.T) Options {
 	return opts
 }
 
-// direct computes a job's slowdown on a fresh runner through
-// RunJobContext, which never shares warm state: plain core.New for the baseline and the policy.
+// direct computes a job's slowdown without sharing anything (see solo).
 func direct(t *testing.T, opts Options, job Job) float64 {
 	t.Helper()
-	opts.Workers = 1
-	r, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.RunJobContext(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m.Slowdown
+	return solo(t, opts, []Job{job})[0].Slowdown
 }
 
 // TestFig4ForkedMatchesDirect runs Figure 4 through RunJobs — whose runs
@@ -154,7 +144,7 @@ func TestRunJobsReleasesWarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := r.runJobs(context.Background(), jobs(good))
+	_, b, err := r.runJobs(context.Background(), jobs(good), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +158,7 @@ func TestRunJobsReleasesWarm(t *testing.T) {
 	if r, err = NewRunner(opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err = r.runJobs(context.Background(), jobs(bad)); !errors.Is(err, boom) {
+	if _, _, err = r.runJobs(context.Background(), jobs(bad), nil); !errors.Is(err, boom) {
 		t.Errorf("failing batch: err = %v, want %v", err, boom)
 	}
 	check("failed job", r)
@@ -182,7 +172,7 @@ func TestRunJobsReleasesWarm(t *testing.T) {
 	if r, err = NewRunner(opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err = r.runJobs(ctx, jobs(canceling)); !errors.Is(err, context.Canceled) {
+	if _, _, err = r.runJobs(ctx, jobs(canceling), nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled batch: err = %v, want context.Canceled", err)
 	}
 	check("canceled batch", r)
@@ -229,19 +219,40 @@ func fig4Jobs(opts Options, stall bool) []Job {
 	return jobs
 }
 
-// solo measures every job on its own: core.New and RunContext for the
-// job and for its baseline, through RunJobContext on a fresh runner.
+// solo measures every job on its own, with plain core.New and RunContext
+// for the job and for its benchmark's baseline, so nothing is shared.
 func solo(t *testing.T, opts Options, jobs []Job) []Measurement {
 	t.Helper()
-	opts.Workers = 1
-	r, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
+	run := func(cfg core.Config, prof trace.Profile, pol dtm.Policy) core.Result {
+		t.Helper()
+		sim, err := core.New(cfg, prof, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.RunContext(context.Background(), opts.Instructions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
+	bases := make(map[string]core.Result)
 	out := make([]Measurement, len(jobs))
 	for i, j := range jobs {
-		if out[i], err = r.RunJobContext(context.Background(), j); err != nil {
+		base, ok := bases[j.Profile.Name]
+		if !ok {
+			base = run(opts.Config, j.Profile, nil)
+			bases[j.Profile.Name] = base
+		}
+		pol, err := j.Factory.New()
+		if err != nil {
 			t.Fatal(err)
+		}
+		res := run(j.Config, j.Profile, pol)
+		out[i] = Measurement{
+			Benchmark: j.Profile.Name,
+			Policy:    j.Factory.Name,
+			Slowdown:  (res.WallTime / float64(res.Instructions)) / (base.WallTime / float64(base.Instructions)),
+			Result:    res,
 		}
 	}
 	return out

@@ -190,15 +190,17 @@ type CharacteriseRow struct {
 
 // Characterise regenerates the §3 benchmark characterization: the nine
 // hottest SPEC programs, all spending most of their time above the trigger,
-// with the integer register file the hottest unit. Baselines are computed
-// in parallel on the worker pool and land in the shared cache.
+// with the integer register file the hottest unit. The baselines run as one
+// batch on the worker pool and land in the shared cache.
 func Characterise(ctx context.Context, r *Runner) ([]CharacteriseRow, error) {
+	if _, _, err := r.runJobs(ctx, nil, r.opts.Benchmarks); err != nil {
+		return nil, err
+	}
 	rows := make([]CharacteriseRow, len(r.opts.Benchmarks))
-	err := forEach(ctx, r.workers, len(r.opts.Benchmarks), func(ctx context.Context, i int) error {
-		b := r.opts.Benchmarks[i]
+	for i, b := range r.opts.Benchmarks {
 		res, err := r.BaselineContext(ctx, b)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		rows[i] = CharacteriseRow{
 			Benchmark:        b.Name,
@@ -209,10 +211,6 @@ func Characterise(ctx context.Context, r *Runner) ([]CharacteriseRow, error) {
 			FracAboveTrigger: res.TimeAboveTrigger / res.WallTime,
 			Violates:         res.Violated(),
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return rows, nil
 }

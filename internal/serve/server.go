@@ -350,7 +350,8 @@ func (s *Server) worker() {
 
 // runnerFor returns the experiment runner owning the baseline singleflight
 // cache for one (resolved config, instruction budget) family, creating it
-// on first use. cfg must already have its tracer cleared.
+// on first use. cfg must already have its tracer cleared. The runner has
+// no Logger: the server logs every job itself ("job done", "job failed").
 func (s *Server) runnerFor(cfg core.Config, insts uint64) (*experiments.Runner, error) {
 	key, err := obs.HashJSON(struct {
 		Config       core.Config `json:"config"`
@@ -369,7 +370,6 @@ func (s *Server) runnerFor(cfg core.Config, insts uint64) (*experiments.Runner, 
 		Benchmarks:   trace.Benchmarks(),
 		Config:       cfg,
 		Metrics:      s.reg,
-		Logger:       s.log,
 		Workers:      1, // concurrency lives in the serve pool, not per-runner
 	})
 	if err != nil {
@@ -479,37 +479,35 @@ func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 		}()
 	}
 
-	var traceTmp string
+	var traceFile *os.File
+	var sink *obs.JSONL
 	if j.cfg.Trace {
-		f, err := os.CreateTemp(s.cache.Dir(), "tmp-trace-*")
-		if err != nil {
+		if traceFile, err = os.CreateTemp(s.cache.Dir(), "tmp-trace-*"); err != nil {
 			return experiments.Measurement{}, err
 		}
-		traceTmp = f.Name()
-		sink := obs.NewJSONL(f)
+		defer os.Remove(traceFile.Name()) // no-op once renamed into place
+		sink = obs.NewJSONL(traceFile)
 		cfg.Tracer = obs.Combine(sink, cfg.Tracer)
-		defer os.Remove(traceTmp) // no-op once renamed into place
-		m, err := runner.RunJobContext(s.baseCtx, experiments.Job{
-			Config: cfg, Profile: prof, Factory: factory,
-		})
+	}
+
+	ms, err := runner.RunJobs(s.baseCtx, []experiments.Job{{Config: cfg, Profile: prof, Factory: factory}})
+	if sink != nil {
 		if serr := sink.Err(); err == nil && serr != nil {
 			err = fmt.Errorf("trace sink: %w", serr)
 		}
-		if cerr := f.Close(); err == nil && cerr != nil {
+		if cerr := traceFile.Close(); err == nil && cerr != nil {
 			err = fmt.Errorf("trace sink: %w", cerr)
 		}
-		if err != nil {
-			return experiments.Measurement{}, err
-		}
-		if err := s.cache.PutTraceFile(j.key, traceTmp); err != nil {
-			return experiments.Measurement{}, err
-		}
-		return m, nil
 	}
-
-	return runner.RunJobContext(s.baseCtx, experiments.Job{
-		Config: cfg, Profile: prof, Factory: factory,
-	})
+	if err != nil {
+		return experiments.Measurement{}, err
+	}
+	if sink != nil {
+		if err := s.cache.PutTraceFile(j.key, traceFile.Name()); err != nil {
+			return experiments.Measurement{}, err
+		}
+	}
+	return ms[0], nil
 }
 
 func (s *Server) persist(j *job, m experiments.Measurement) error {

@@ -2,8 +2,8 @@
 // heavy duplication, against a small pool and a shallow queue — then the
 // books are audited. Every job completes, every distinct configuration
 // simulated exactly once (the counters prove it), and every served result
-// is byte-identical to a serial run of the same configuration through the
-// experiment runner alone. Run under -race this doubles as the data-race
+// is byte-identical to a solo run of the same configuration with plain
+// core.New. Run under -race this doubles as the data-race
 // proof for the whole submit/dedupe/cache/drain surface.
 package serve
 
@@ -18,9 +18,8 @@ import (
 	"testing"
 	"time"
 
-	"hybriddtm/internal/experiments"
+	"hybriddtm/internal/core"
 	"hybriddtm/internal/obs"
-	"hybriddtm/internal/trace"
 )
 
 // soakTotal and soakClients match the service-level claim in EXPERIMENTS
@@ -151,10 +150,10 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 			report.LatencySamples, report.Completed)
 	}
 
-	// Results must be byte-identical to serial runs of the same configs
-	// through the experiment runner directly — concurrency, dedup, the
-	// cache, and trace observation change nothing about the physics.
-	serialRunners := map[string]*experiments.Runner{}
+	// Results must be byte-identical to solo runs of the same configs
+	// with plain core.New — concurrency, dedup, the cache, shared cores
+	// and trace observation change nothing about the physics.
+	bases := make(map[string]core.Result)
 	seen := map[string]bool{}
 	for _, jc := range jobs {
 		key, err := jc.Key()
@@ -169,39 +168,11 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		if !ok {
 			t.Fatalf("no cache entry for %s/%s (key %s)", jc.Benchmark, jc.Policy, key)
 		}
-
-		cfg, prof, factory, err := jc.Resolve()
-		if err != nil {
-			t.Fatalf("Resolve: %v", err)
-		}
-		rkey, err := obs.HashJSON(struct {
-			Config       interface{} `json:"config"`
-			Instructions uint64      `json:"instructions"`
-		}{cfg, jc.Instructions})
-		if err != nil {
-			t.Fatalf("HashJSON: %v", err)
-		}
-		runner, ok := serialRunners[rkey]
-		if !ok {
-			runner, err = experiments.NewRunner(experiments.Options{
-				Instructions: jc.Instructions,
-				Benchmarks:   trace.Benchmarks(),
-				Config:       cfg,
-				Workers:      1,
-			})
-			if err != nil {
-				t.Fatalf("NewRunner: %v", err)
-			}
-			serialRunners[rkey] = runner
-		}
-		want, err := runner.RunJobContext(ctx, experiments.Job{Config: cfg, Profile: prof, Factory: factory})
-		if err != nil {
-			t.Fatalf("serial run %s/%s: %v", jc.Benchmark, jc.Policy, err)
-		}
+		want := soloRun(t, bases, jc, nil)
 		wantJSON, _ := json.Marshal(want)
 		gotJSON, _ := json.Marshal(entry.Measurement)
 		if string(wantJSON) != string(gotJSON) {
-			t.Errorf("%s/%s (trace=%v): served result differs from serial run:\n serial %s\n served %s",
+			t.Errorf("%s/%s (trace=%v): served result differs from solo run:\n solo   %s\n served %s",
 				jc.Benchmark, jc.Policy, jc.Trace, wantJSON, gotJSON)
 		}
 	}

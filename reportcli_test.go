@@ -197,4 +197,12 @@ func TestDtmreportGolden(t *testing.T) {
 	if err == nil || !strings.Contains(string(out), "serve.jobs_per_sec (not in base)") {
 		t.Errorf("gate on a missing metric: err=%v, want exit 1 naming it:\n%s", err, out)
 	}
+
+	// A stray positional argument would end flag parsing and drop the
+	// flags after it, so compare mode rejects it with a usage error.
+	out, err = exec.Command(bins["dtmreport"], "-compare-base", base, "-compare-head", base, "extra.json",
+		"-threshold", "0.5", "-compare-metrics", "serve.jobs_per_sec").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "no positional arguments") || !strings.Contains(string(out), "extra.json") {
+		t.Errorf("compare mode with a positional argument: err=%v, want a usage error naming it:\n%s", err, out)
+	}
 }
