@@ -223,7 +223,7 @@ func runOne(ctx context.Context, cfg core.Config, prof trace.Profile, factory ex
 	}
 	var sp *obs.StageProfiler
 	if stageProfile != "" {
-		sp = obs.NewStageProfiler(0)
+		sp = obs.NewStageProfiler()
 		cfg.Profiler = sp
 	}
 	if traceOut != "" {

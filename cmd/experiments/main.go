@@ -329,7 +329,7 @@ func runStageProfile(ctx context.Context, opts experiments.Options, insts uint64
 	if err != nil {
 		return obs.StageProfile{}, err
 	}
-	sp := obs.NewStageProfiler(0)
+	sp := obs.NewStageProfiler()
 	cfg.Profiler = sp
 	sim, err := core.New(cfg, prof, pol)
 	if err != nil {

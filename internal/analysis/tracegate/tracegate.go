@@ -14,11 +14,12 @@
 //     is flagged: an unguarded call either panics when tracing is off or
 //     forces the caller to pay an interface call per step.
 //
-// The *obs.StageProfiler threaded through the same loop (and into
-// internal/cpu's pipeline stages) carries the identical contract — the
-// profiler-off path must stay AllocsPerRun==0 and within ~1% of baseline
-// — so the analyzer enforces the same two rules for StageProfiler method
-// calls, in both internal/core and internal/cpu.
+// The *obs.StageProfiler threaded through the same loop carries the
+// identical contract — the profiler-off path must stay AllocsPerRun==0
+// and within ~1% of baseline — so the analyzer enforces the same two
+// rules for StageProfiler method calls. internal/core opens every stage
+// window, the cpu model's included; internal/cpu stays in scope so a
+// profiler threaded back into the pipeline loop meets the same rules.
 package tracegate
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"hybriddtm/internal/dtm"
 	"hybriddtm/internal/dvfs"
+	"hybriddtm/internal/obs"
 )
 
 // TestCoupledStepAllocationFree pins the zero-allocation contract of the
@@ -13,7 +14,8 @@ import (
 // factorizations cached), one full step — execute, map activity to
 // blocks, evaluate power, advance the thermal model, read sensors, run the
 // policy — must not touch the heap, whether the run executes its own cpu
-// batch or follows a Cohort's shared one. The hot loop runs this step
+// batch, follows a Cohort's shared one, or times its stages with a
+// StageProfiler. The hot loop runs this step
 // every 10k simulated cycles, so a single stray allocation multiplies into
 // GC pressure across the paper's billion-instruction sweeps.
 func TestCoupledStepAllocationFree(t *testing.T) {
@@ -27,26 +29,42 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := New(cfg, gzipProfile(t), pol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sim.start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	sim.begin(budget)
-	own := func() {
-		if err := sim.step(nil); err != nil {
+	ownStep := func(name string, cfg Config) {
+		sim, err := New(cfg, gzipProfile(t), pol)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if err := sim.start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		sim.begin(budget)
+		own := func() {
+			if err := sim.step(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A few steps size every reusable buffer, as the start of Run does.
+		for i := 0; i < 40; i++ {
+			own()
+		}
+		if allocs := testing.AllocsPerRun(50, own); allocs != 0 {
+			t.Errorf("%s step allocates %.1f times per iteration, want 0", name, allocs)
+		}
 	}
-	// A few steps size every reusable buffer, as the start of Run does.
-	for i := 0; i < 40; i++ {
-		own()
-	}
-	if allocs := testing.AllocsPerRun(50, own); allocs != 0 {
-		t.Errorf("own-core step allocates %.1f times per iteration, want 0", allocs)
-	}
+	ownStep("own-core", cfg)
+
+	// The profiler's own windows must not allocate either; counter hooks
+	// stand in for the clock and runtime/metrics.
+	sp := obs.NewStageProfiler()
+	var now int64
+	var reads uint64
+	sp.SetHooks(
+		func() int64 { now++; return now },
+		func() uint64 { reads++; return reads },
+	)
+	profiled := cfg
+	profiled.Profiler = sp
+	ownStep("profiled own-core", profiled)
 
 	w, err := WarmUp(context.Background(), cfg, gzipProfile(t))
 	if err != nil {

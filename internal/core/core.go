@@ -548,18 +548,9 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 	act.Reset()
 
 	// Observability: tr is hoisted so the disabled path is one nil check
-	// per emission site. sp follows the same hoisted-guard discipline;
-	// spActive caches the per-step sampling decision (StepTick) so
-	// unsampled steps pay the nil check alone.
+	// per emission site. sp follows the same hoisted-guard discipline.
 	tr := s.cfg.Tracer
 	sp := s.cfg.Profiler
-	spActive := false
-	if sp != nil {
-		spActive = sp.StepTick()
-	}
-	if sp != nil && spActive {
-		sp.Begin(obs.StageCPUCommit) // opens the cpu pipeline window
-	}
 	switch {
 	case l.clockStop:
 		// Global clock stopped: no execution, no dynamic power at all.
@@ -575,21 +566,21 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 		l.stallRemaining -= dt
 	case shared != nil:
 		act = shared
-	case sp != nil && spActive:
-		if _, err := s.core.RunGatedProfiled(l.stepCycles, l.gates, act, sp); err != nil {
-			return err
-		}
 	default:
-		if _, err := s.core.RunGated(l.stepCycles, l.gates, act); err != nil {
+		if sp != nil {
+			sp.Begin(obs.StageCPURun)
+		}
+		_, err := s.core.RunGated(l.stepCycles, l.gates, act)
+		if sp != nil {
+			sp.End(obs.StageCPURun)
+		}
+		if err != nil {
 			return err
 		}
-	}
-	if sp != nil && spActive {
-		sp.EndCPU()
 	}
 
 	var err error
-	if sp != nil && spActive {
+	if sp != nil {
 		sp.Begin(obs.StagePowerCompute)
 	}
 	l.activity, err = act.BlockActivity(s.fp, l.activity)
@@ -600,7 +591,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 	if err != nil {
 		return err
 	}
-	if sp != nil && spActive {
+	if sp != nil {
 		sp.End(obs.StagePowerCompute)
 		sp.Begin(obs.StageThermalStep)
 	}
@@ -608,7 +599,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 		return err
 	}
 	l.temps = s.tm.BlockTemps(l.temps)
-	if sp != nil && spActive {
+	if sp != nil {
 		sp.End(obs.StageThermalStep)
 	}
 	l.wall += dt
@@ -620,7 +611,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 	if measuring || tr != nil {
 		hi, ht = s.tm.MaxBlockTemp()
 	}
-	if sp != nil && spActive && tr != nil {
+	if sp != nil && tr != nil {
 		sp.Begin(obs.StageTraceEmit)
 	}
 	if tr != nil {
@@ -641,7 +632,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 				Measuring: measuring, Threshold: "emergency", Above: above, MaxTemp: ht})
 		}
 	}
-	if sp != nil && spActive && tr != nil {
+	if sp != nil && tr != nil {
 		sp.End(obs.StageTraceEmit)
 	}
 
@@ -671,7 +662,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 	// Apply a pending (ideal-mode) DVS transition. A follower never has
 	// one: a pending switch makes it leave its cohort.
 	if l.pendingLevel >= 0 && wall >= l.pendingAt {
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.Begin(obs.StageDVFSActuate)
 		}
 		from := l.level
@@ -685,7 +676,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 				Measuring: measuring, Level: l.level, FromLevel: from, SwitchApplied: true,
 				GateFrac: l.gates.Fetch, ClockStop: l.clockStop})
 		}
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.End(obs.StageDVFSActuate)
 		}
 	}
@@ -693,14 +684,14 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 	// Sensor sampling and policy decision.
 	for wall >= l.nextSample {
 		l.nextSample += l.samplePeriod
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.Begin(obs.StageSensorSample)
 		}
 		l.readings, err = s.bank.Read(l.readings, l.temps)
 		if err != nil {
 			return err
 		}
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.End(obs.StageSensorSample)
 			sp.Begin(obs.StagePolicyDecide)
 		}
@@ -715,10 +706,10 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 			maxR = sensor.Max(l.readings)
 			d = s.policy.Sample(maxR, l.samplePeriod)
 		}
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.End(obs.StagePolicyDecide)
 		}
-		if sp != nil && spActive && tr != nil {
+		if sp != nil && tr != nil {
 			sp.Begin(obs.StageTraceEmit)
 		}
 		if tr != nil {
@@ -728,10 +719,10 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 			tr.Emit(&obs.Event{Kind: obs.KindDecision, Time: wall, Cycle: cyc, Step: stepIdx,
 				Measuring: measuring, DecGate: d.GateFrac, DecLevel: d.Level, DecClockStop: d.ClockStop})
 		}
-		if sp != nil && spActive && tr != nil {
+		if sp != nil && tr != nil {
 			sp.End(obs.StageTraceEmit)
 		}
-		if sp != nil && spActive {
+		if sp != nil {
 			// The remainder of the sample body — gate/clock-stop
 			// application and DVS switch bookkeeping, including its
 			// actuation event — is the dvfs.actuate window.
@@ -776,7 +767,7 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 				SwitchStarted: switched, SwitchStalls: switched && s.cfg.DVSStall,
 				StallRemaining: l.stallRemaining})
 		}
-		if sp != nil && spActive {
+		if sp != nil {
 			sp.End(obs.StageDVFSActuate)
 		}
 	}

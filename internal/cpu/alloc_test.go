@@ -1,19 +1,15 @@
 package cpu
 
-import (
-	"testing"
-
-	"hybriddtm/internal/obs"
-)
+import "testing"
 
 // TestRunGatedAllocationFree pins the grow-once contract of the SoA
 // pipeline state: the ROB/IFQ rings, issue-queue ready lists, wake lists,
 // and MSHR array are all sized at construction (ready/pending to their
 // queue capacities), so every batched entry point must run without
 // touching the heap from the very first chunk. This is the test-side
-// anchor of the //dtmlint:allocfree annotations on Run/RunGated/
-// RunGatedProfiled — the static analyzer proves no allocation site is
-// reachable, this proves the dynamic count is zero.
+// anchor of the //dtmlint:allocfree annotations on Run/RunGated — the
+// static analyzer proves no allocation site is reachable, this proves the
+// dynamic count is zero.
 func TestRunGatedAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -38,34 +34,5 @@ func TestRunGatedAllocationFree(t *testing.T) {
 				t.Errorf("RunGated(%s) allocates %.1f times per chunk, want 0", tc.name, allocs)
 			}
 		})
-	}
-}
-
-// TestRunProfiledAllocationFree extends the contract to the profiled
-// kernel: with injected clock/alloc hooks (pure counters), the strided-lap
-// loop itself must not allocate either.
-func TestRunProfiledAllocationFree(t *testing.T) {
-	c := newCore(t, testProfile())
-	sp := obs.NewStageProfiler(1)
-	var now int64
-	var reads uint64
-	sp.SetHooks(
-		func() int64 { now++; return now },
-		func() uint64 { reads++; return reads },
-	)
-	var act Activity
-	if _, err := c.RunGated(300_000, Gates{}, &act); err != nil {
-		t.Fatal(err)
-	}
-	step := func() {
-		sp.StepTick()
-		sp.Begin(obs.StageCPUCommit)
-		if _, err := c.RunGatedProfiled(10_000, Gates{}, &act, sp); err != nil {
-			t.Fatal(err)
-		}
-		sp.EndCPU()
-	}
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Errorf("RunGatedProfiled allocates %.1f times per chunk, want 0", allocs)
 	}
 }

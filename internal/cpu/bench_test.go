@@ -1,10 +1,8 @@
 package cpu
 
 import (
-	"strings"
 	"testing"
 
-	"hybriddtm/internal/obs"
 	"hybriddtm/internal/trace"
 )
 
@@ -67,42 +65,4 @@ func BenchmarkCoreRun(b *testing.B) {
 	b.Run("reference/gzip-gated", func(b *testing.B) { benchCoreRun(b, gzip, true, Gates{Fetch: 1.0 / 3}) })
 	b.Run("batched/mem-bound", func(b *testing.B) { benchCoreRun(b, memBound, false, Gates{}) })
 	b.Run("reference/mem-bound", func(b *testing.B) { benchCoreRun(b, memBound, true, Gates{}) })
-	b.Run("stages/gzip", func(b *testing.B) { benchCoreStages(b, gzip) })
-}
-
-// benchCoreStages runs the profiled kernel and reports each pipeline
-// stage's attributed nanoseconds per simulated kilocycle, mirroring the
-// driver-level stage-profile artifact at microbenchmark granularity.
-func benchCoreStages(b *testing.B, p trace.Profile) {
-	g, err := trace.NewGenerator(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := New(DefaultConfig(), g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sp := obs.NewStageProfiler(1)
-	const chunk = 100_000
-	var act Activity
-	if _, err := c.RunGated(chunk, Gates{}, &act); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sp.StepTick()
-		sp.Begin(obs.StageCPUCommit)
-		if _, err := c.RunGatedProfiled(chunk, Gates{}, &act, sp); err != nil {
-			b.Fatal(err)
-		}
-		sp.EndCPU()
-	}
-	b.StopTimer()
-	kcycles := float64(b.N) * chunk / 1e3
-	for _, r := range sp.Profile("bench", p.Name, "none").Stages {
-		if r.Nanos == 0 || !strings.HasPrefix(r.Name, "cpu.") {
-			continue
-		}
-		b.ReportMetric(float64(r.Nanos)/kcycles, strings.TrimPrefix(r.Name, "cpu.")+"-ns/kcyc")
-	}
 }

@@ -31,7 +31,6 @@ import (
 
 	"hybriddtm/internal/bpred"
 	"hybriddtm/internal/cache"
-	"hybriddtm/internal/obs"
 	"hybriddtm/internal/stats"
 	"hybriddtm/internal/trace"
 )
@@ -499,33 +498,13 @@ func (c *Core) Run(n uint64, gateFrac float64, act *Activity) (uint64, error) {
 //
 //dtmlint:allocfree
 func (c *Core) RunGated(n uint64, gates Gates, act *Activity) (uint64, error) {
-	return c.run(n, gates, act, nil)
-}
-
-// RunGatedProfiled is RunGated with per-stage attribution: on a sampled
-// thermal step core passes the run's StageProfiler and the pipeline loop
-// attributes each stage (commit, the three issue domains, dispatch,
-// fetch, plus the bpred and cache accesses inside them) with chained
-// monotonic timestamps. Unsampled steps take RunGated, so sp here is
-// never a disabled profiler — but every call site still carries the
-// hoisted `if sp != nil` guard, which is both the tracegate-enforced
-// idiom and what keeps the profiler-off path (sp == nil) at one
-// predicted branch per site.
-//
-// Laps are placed at batch boundaries, not per cycle: one fully-staged
-// cycle opens each profileStride-cycle mini-batch and its per-stage times
-// are extrapolated over the batch (obs.StageProfiler.LapN); the remaining
-// cycles run through the batched kernels. See kernel.go.
-//
-//dtmlint:allocfree
-func (c *Core) RunGatedProfiled(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) (uint64, error) {
-	return c.run(n, gates, act, sp)
+	return c.run(n, gates, act)
 }
 
 // run validates and dispatches to the pipeline loops: the batched kernels
 // in kernel.go on the hot path, the cycle-at-a-time reference loop when
-// requested, with profiler variants of each.
-func (c *Core) run(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) (uint64, error) {
+// requested.
+func (c *Core) run(n uint64, gates Gates, act *Activity) (uint64, error) {
 	if err := gates.validate(); err != nil {
 		return 0, err
 	}
@@ -534,12 +513,9 @@ func (c *Core) run(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) 
 		act = &sink
 	}
 	start := c.committed
-	switch {
-	case c.referencePath:
-		c.runScalar(n, gates, act, sp)
-	case sp != nil:
-		c.runProfiled(n, gates, act, sp)
-	default:
+	if c.referencePath {
+		c.runScalar(n, gates, act)
+	} else {
 		c.runBatched(n, gates, act)
 	}
 	act.Cycles += n
@@ -547,27 +523,15 @@ func (c *Core) run(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) 
 }
 
 // runScalar is the cycle-at-a-time reference loop: five stage calls per
-// cycle, gate accumulators ticked every cycle, laps per cycle when sp is
-// non-nil. The batched kernels must match it bit for bit.
-func (c *Core) runScalar(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) {
+// cycle, gate accumulators ticked every cycle. The batched kernels must
+// match it bit for bit.
+func (c *Core) runScalar(n uint64, gates Gates, act *Activity) {
 	for i := uint64(0); i < n; i++ {
 		c.cycle++
-		if sp != nil {
-			sp.Mark()
-		}
 		c.commit(act)
-		if sp != nil {
-			sp.Lap(obs.StageCPUCommit)
-		}
-		c.issue(gates, act, sp, 1)
+		c.issue(gates, act)
 		c.dispatch(act)
-		if sp != nil {
-			sp.Lap(obs.StageCPUDispatch)
-		}
-		c.fetch(gates.Fetch, act, sp, 1)
-		if sp != nil {
-			sp.Lap(obs.StageCPUFetch)
-		}
+		c.fetch(gates.Fetch, act)
 	}
 }
 
@@ -664,27 +628,16 @@ func (c *Core) wake(pi uint64) {
 }
 
 // issue selects ready instructions oldest-first per queue, skipping
-// domains whose issue stage is gated this cycle. scale is the profiler
-// extrapolation factor (cycles represented by this lapped cycle; 1 on the
-// reference path).
-func (c *Core) issue(gates Gates, act *Activity, sp *obs.StageProfiler, scale uint64) {
+// domains whose issue stage is gated this cycle.
+func (c *Core) issue(gates Gates, act *Activity) {
 	if !gateTick(&c.intGateAcc, gates.Int) {
 		c.issueInt(act)
-	}
-	if sp != nil {
-		sp.LapN(obs.StageCPUIssueInt, scale)
 	}
 	if !gateTick(&c.fpGateAcc, gates.FP) {
 		c.issueFP(act)
 	}
-	if sp != nil {
-		sp.LapN(obs.StageCPUIssueFP, scale)
-	}
 	if !gateTick(&c.memGateAcc, gates.Mem) {
-		c.issueMem(act, sp, scale)
-	}
-	if sp != nil {
-		sp.LapN(obs.StageCPUIssueMem, scale)
+		c.issueMem(act)
 	}
 }
 
@@ -783,7 +736,7 @@ func (c *Core) issueFP(act *Activity) {
 	c.issues += uint64(issued)
 }
 
-func (c *Core) issueMem(act *Activity, sp *obs.StageProfiler, scale uint64) {
+func (c *Core) issueMem(act *Activity) {
 	// Retire completed MSHRs first. When the minReady watermark skips this
 	// walk the filter is deferred; the live set (t > cycle) is monotonic
 	// in cycle, so filtering late yields the identical list.
@@ -832,15 +785,7 @@ func (c *Core) issueMem(act *Activity, sp *obs.StageProfiler, scale uint64) {
 		}
 		issued++
 		c.robIssued[i] = true
-		// Carve the cache access out of the issue_mem interval so the
-		// "cache" stage is a leaf and fractions stay disjoint.
-		if sp != nil {
-			sp.LapN(obs.StageCPUIssueMem, scale)
-		}
 		res := c.mem.Data(c.robAddr[i])
-		if sp != nil {
-			sp.LapN(obs.StageCache, scale)
-		}
 		act.DCacheAccesses++
 		act.DTBAccesses++
 		lat := c.cfg.Caches.L1D.Latency
@@ -1000,7 +945,7 @@ func (c *Core) dispatch(act *Activity) {
 
 // fetch brings instructions into the fetch queue, subject to gating,
 // I-cache misses and branch redirects.
-func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, scale uint64) {
+func (c *Core) fetch(gateFrac float64, act *Activity) {
 	// Resolve a pending branch redirect.
 	if c.blockState == blockWaitResolve {
 		i := c.blockSeq & c.robMask
@@ -1043,13 +988,7 @@ func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, sca
 	}
 
 	// One I-cache (and I-TLB) access per fetch group.
-	if sp != nil {
-		sp.LapN(obs.StageCPUFetch, scale)
-	}
 	res := c.mem.Instruction(c.pending.PC)
-	if sp != nil {
-		sp.LapN(obs.StageCache, scale)
-	}
 	act.FetchGroups++
 	act.ITBAccesses++
 	if !res.L1Hit {
@@ -1075,14 +1014,8 @@ func (c *Core) fetch(gateFrac float64, act *Activity, sp *obs.StageProfiler, sca
 		endGroup := false
 		if inst.Class == trace.Branch {
 			act.BPredAccesses++
-			if sp != nil {
-				sp.LapN(obs.StageCPUFetch, scale)
-			}
 			pred := c.bp.Predict(inst.PC)
 			correct := c.bp.Update(inst.PC, inst.Taken)
-			if sp != nil {
-				sp.LapN(obs.StageBPred, scale)
-			}
 			mispredict = !correct
 			if mispredict {
 				c.blockState = blockWaitDispatch

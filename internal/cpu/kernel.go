@@ -1,12 +1,11 @@
 package cpu
 
 // This file holds the batched pipeline kernels: the hot paths behind
-// Run/RunGated/RunGatedProfiled. They advance the machine over runs of
-// cycles between DTM-visible boundaries with the per-cycle bookkeeping the
-// reference loop pays — gate-fraction accumulator math, profiler checks,
-// fruitless issue-queue walks — hoisted out of the inner loop or elided
-// where provably a no-op. Every elision below is bit-exact, not
-// approximate:
+// Run/RunGated. They advance the machine over runs of cycles between
+// DTM-visible boundaries with the per-cycle bookkeeping the reference loop
+// pays — gate-fraction accumulator math, fruitless issue-queue walks —
+// hoisted out of the inner loop or elided where provably a no-op. Every
+// elision below is bit-exact, not approximate:
 //
 //   - A gateTick with fraction 0 adds 0.0 to its accumulator and, since the
 //     accumulator invariant is acc ∈ [0,1), never gates — so zero-fraction
@@ -27,19 +26,7 @@ package cpu
 // TestScalarBatchedEquivalence) and FuzzCoreRun diff these kernels against
 // the cycle-at-a-time reference loop counter-for-counter.
 
-import (
-	"hybriddtm/internal/obs"
-	"hybriddtm/internal/stats"
-)
-
-// profileStride is the mini-batch length of the profiled loop: one
-// fully-staged, per-stage-lapped cycle opens each mini-batch and its stage
-// times are extrapolated over the batch; the rest run through the batched
-// kernels. Laps therefore sit at batch boundaries — ~2 clock reads per
-// profileStride cycles — instead of 8 reads per cycle, which is what keeps
-// profiler-on overhead inside the envelope asserted by
-// TestStageProfilerOverhead.
-const profileStride = 64
+import "hybriddtm/internal/stats"
 
 // runBatched picks the kernel for the gate configuration. Issue-domain
 // gating (local toggling) is a research path measured for the paper's §2
@@ -48,7 +35,7 @@ const profileStride = 64
 func (c *Core) runBatched(n uint64, gates Gates, act *Activity) {
 	switch {
 	case !issueGatesZero(gates):
-		c.runScalar(n, gates, act, nil)
+		c.runScalar(n, gates, act)
 	case stats.SameFloat(gates.Fetch, 0):
 		c.runUngated(n, act)
 	default:
@@ -70,12 +57,12 @@ func (c *Core) runUngated(n uint64, act *Activity) {
 			c.issueFP(act)
 		}
 		if c.cycle >= c.memQ.minReady {
-			c.issueMem(act, nil, 1)
+			c.issueMem(act)
 		}
 		if c.ifqCount > 0 {
 			c.dispatch(act)
 		}
-		c.fetch(0, act, nil, 1)
+		c.fetch(0, act)
 		if c.head == h0 && c.tail == t0 && c.issues == i0 && act.FetchGroups == f0 {
 			c.idleSkip(end, false, 0, act)
 		}
@@ -100,12 +87,12 @@ func (c *Core) runFetchGated(n uint64, frac float64, act *Activity) {
 			c.issueFP(act)
 		}
 		if c.cycle >= c.memQ.minReady {
-			c.issueMem(act, nil, 1)
+			c.issueMem(act)
 		}
 		if c.ifqCount > 0 {
 			c.dispatch(act)
 		}
-		c.fetch(frac, act, nil, 1)
+		c.fetch(frac, act)
 		if c.head == h0 && c.tail == t0 && c.issues == i0 && act.FetchGroups == f0 {
 			c.idleSkip(end, true, frac, act)
 		}
@@ -192,44 +179,4 @@ func (c *Core) idleSkip(end uint64, gated bool, frac float64, act *Activity) {
 		}
 	}
 	c.cycle = nc
-}
-
-// runProfiled is the batched loop with per-stage attribution: one
-// fully-staged cycle at each mini-batch boundary carries the laps (scaled
-// ×batch via LapN so stage fractions stay representative), and the
-// remaining cycles run through the batched kernels.
-func (c *Core) runProfiled(n uint64, gates Gates, act *Activity, sp *obs.StageProfiler) {
-	for n > 0 {
-		batch := uint64(profileStride)
-		if batch > n {
-			batch = n
-		}
-		c.profiledCycle(gates, act, sp, batch)
-		if rest := batch - 1; rest > 0 {
-			c.runBatched(rest, gates, act)
-		}
-		n -= batch
-	}
-}
-
-// profiledCycle runs one cycle through the reference stage sequence with
-// laps attributing each stage, extrapolated over scale cycles.
-func (c *Core) profiledCycle(gates Gates, act *Activity, sp *obs.StageProfiler, scale uint64) {
-	c.cycle++
-	if sp != nil {
-		sp.Mark()
-	}
-	c.commit(act)
-	if sp != nil {
-		sp.LapN(obs.StageCPUCommit, scale)
-	}
-	c.issue(gates, act, sp, scale)
-	c.dispatch(act)
-	if sp != nil {
-		sp.LapN(obs.StageCPUDispatch, scale)
-	}
-	c.fetch(gates.Fetch, act, sp, scale)
-	if sp != nil {
-		sp.LapN(obs.StageCPUFetch, scale)
-	}
 }

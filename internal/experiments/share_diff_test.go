@@ -41,8 +41,8 @@ func TestSharedRunsMatchSolo(t *testing.T) {
 		}
 	}
 	profiled := fig4Jobs(opts, true)[:6]
-	profiled[1].Config.Profiler = obs.NewStageProfiler(0)
-	profiled[4].Config.Profiler = obs.NewStageProfiler(0)
+	profiled[1].Config.Profiler = obs.NewStageProfiler()
+	profiled[4].Config.Profiler = obs.NewStageProfiler()
 	var fig3a []Job
 	stall := cfg
 	stall.DVSStall = true

@@ -90,20 +90,21 @@ func CaptureBench(reg *Registry, elapsed time.Duration, workers int, start time.
 		Workers:   workers,
 		ElapsedS:  elapsed.Seconds(),
 	}
-	secs := elapsed.Seconds()
-	rate := func(n int64) float64 {
-		if secs <= 0 {
-			return 0
-		}
-		return float64(n) / secs
-	}
 	add := func(name, unit string, v float64, better string) {
 		snap.Metrics = append(snap.Metrics, BenchMetric{Name: name, Unit: unit, Value: v, Better: better})
 	}
-	add("pool.jobs_per_sec", "jobs/s", rate(reg.Counter(MetricPoolJobs).Value()), BetterHigher)
-	add("sim.insts_per_sec", "insts/s", rate(reg.Counter(MetricInstructions).Value()), BetterHigher)
-	add("sim.steps_per_sec", "steps/s", rate(reg.Counter(MetricThermalSteps).Value()), BetterHigher)
-	add("sim.events_per_sec", "events/s", rate(reg.Counter(MetricEvents).Value()), BetterHigher)
+	// A rate is emitted only when it was measured: a zero counter or
+	// elapsed time would write a 0 that, used as a comparison base, no
+	// gate can flag. Absent, a gated metric is reported missing instead.
+	rate := func(name, unit, counter string) {
+		if n := reg.Counter(counter).Value(); n > 0 && elapsed > 0 {
+			add(name, unit, float64(n)/elapsed.Seconds(), BetterHigher)
+		}
+	}
+	rate("pool.jobs_per_sec", "jobs/s", MetricPoolJobs)
+	rate("sim.insts_per_sec", "insts/s", MetricInstructions)
+	rate("sim.steps_per_sec", "steps/s", MetricThermalSteps)
+	rate("sim.events_per_sec", "events/s", MetricEvents)
 	h := reg.Histogram(MetricPoolJobSeconds)
 	if h.Count() > 0 {
 		add("pool.job_s_p50", "s", h.Quantile(0.50), BetterLower)

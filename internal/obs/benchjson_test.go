@@ -63,6 +63,31 @@ func TestCaptureBenchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCaptureBenchUnmeasuredRates: a registry that observed nothing (a
+// loadgen aimed at a remote server captures its empty local registry)
+// and a zero elapsed time both leave the rates out rather than writing
+// 0, so a gate naming one reports it missing instead of passing on a 0
+// base.
+func TestCaptureBenchUnmeasuredRates(t *testing.T) {
+	start := time.Date(2026, 8, 5, 0, 0, 0, 0, time.UTC)
+	rates := []string{"pool.jobs_per_sec", "sim.insts_per_sec", "sim.steps_per_sec", "sim.events_per_sec"}
+	empty := CaptureBench(NewRegistry(), 2*time.Second, 4, start)
+	for _, name := range rates {
+		if m, ok := empty.Metric(name); ok {
+			t.Errorf("empty registry wrote %s = %v", name, m.Value)
+		}
+	}
+	reg := NewRegistry()
+	reg.Counter(MetricInstructions).Add(1000)
+	if m, ok := CaptureBench(reg, 0, 4, start).Metric("sim.insts_per_sec"); ok {
+		t.Errorf("zero elapsed wrote sim.insts_per_sec = %v", m.Value)
+	}
+	_, missing, _ := CompareBench(empty, testSnapshot(t, 1e6), 0.10, []string{"sim.insts_per_sec"})
+	if !reflect.DeepEqual(missing, []string{"sim.insts_per_sec (not in base)"}) {
+		t.Errorf("gate on an unmeasured base: missing %q, want it reported", missing)
+	}
+}
+
 // TestCompareBench: direction-aware regression flagging with a threshold,
 // plus the name filter CI's throughput gate uses.
 func TestCompareBench(t *testing.T) {

@@ -21,59 +21,14 @@ func fakeHooks(p *StageProfiler, tick int64, allocStep uint64) *StageProfiler {
 	return p
 }
 
-func TestStageProfilerSampling(t *testing.T) {
-	p := NewStageProfiler(4)
-	var pattern []bool
-	for i := 0; i < 10; i++ {
-		pattern = append(pattern, p.StepTick())
-	}
-	want := []bool{true, false, false, false, true, false, false, false, true, false}
-	for i := range want {
-		if pattern[i] != want[i] {
-			t.Fatalf("StepTick pattern %v, want %v", pattern, want)
-		}
-	}
-	total, sampled := p.Steps()
-	if total != 10 || sampled != 3 {
-		t.Errorf("Steps() = %d/%d, want 10/3", total, sampled)
-	}
-	if NewStageProfiler(0).SampleEvery() != DefaultStageSampleEvery {
-		t.Errorf("sampleEvery <= 0 should select the default")
-	}
-}
-
-func TestStageProfilerInactiveIsInert(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(2), 10, 1)
-	p.StepTick() // sampled
-	p.StepTick() // not sampled: everything below must be a no-op
-	p.Mark()
-	p.Lap(StageCPUCommit)
-	p.Begin(StagePowerCompute)
-	p.End(StagePowerCompute)
-	p.EndCPU()
-	doc := p.Profile("", "", "")
-	if doc.AttributedNS != 0 {
-		t.Errorf("inactive step attributed %d ns, want 0", doc.AttributedNS)
-	}
-	for _, r := range doc.Stages {
-		if r.Invocations != 0 || r.Allocs != 0 {
-			t.Errorf("inactive step touched stage %s: %+v", r.Name, r)
-		}
-	}
-}
-
 func TestStageProfilerAttribution(t *testing.T) {
-	// tick=10: every clock read advances 10 ns, so a Mark..Lap pair spans
-	// exactly 10 ns and chained laps 10 ns each.
-	p := fakeHooks(NewStageProfiler(1), 10, 3)
-	p.StepTick()
-	p.Begin(StageCPUCommit) // cpu window: one alloc read
-	p.Mark()
-	p.Lap(StageCPUCommit)
-	p.Lap(StageCPUIssueInt)
-	p.EndCPU() // alloc delta (3) → cpu pipeline
-	p.Begin(StagePowerCompute)
-	p.End(StagePowerCompute)
+	// tick=10: every clock read advances 10 ns, so a Begin..End window
+	// spans exactly 10 ns; allocStep=3 makes each window's delta 3.
+	p := fakeHooks(NewStageProfiler(), 10, 3)
+	for _, s := range []Stage{StageCPURun, StagePowerCompute, StageThermalStep, StageCPURun} {
+		p.Begin(s)
+		p.End(s)
+	}
 
 	doc := p.Profile("dtmsim", "bzip2", "hyb")
 	if err := doc.Validate(); err != nil {
@@ -86,20 +41,22 @@ func TestStageProfilerAttribution(t *testing.T) {
 	for _, r := range doc.Stages {
 		byName[r.Name] = r
 	}
-	for name, wantNS := range map[string]int64{
-		"cpu.commit":    10,
-		"cpu.issue_int": 10,
-		"power.compute": 10,
+	for name, want := range map[string]uint64{
+		"cpu.run":       2,
+		"power.compute": 1,
+		"thermal.step":  1,
 	} {
-		if got := byName[name].Nanos; got != wantNS {
-			t.Errorf("%s ns = %d, want %d", name, got, wantNS)
-		}
-		if byName[name].Invocations != 1 {
-			t.Errorf("%s invocations = %d, want 1", name, byName[name].Invocations)
+		r := byName[name]
+		if r.Invocations != want || r.Nanos != 10*int64(want) || r.Allocs != 3*want {
+			t.Errorf("%s = %d windows, %d ns, %d allocs; want %d windows of 10 ns and 3 allocs",
+				name, r.Invocations, r.Nanos, r.Allocs, want)
 		}
 	}
-	if doc.AttributedNS != 30 {
-		t.Errorf("attributed ns = %d, want 30", doc.AttributedNS)
+	if doc.AttributedNS != 40 {
+		t.Errorf("attributed ns = %d, want 40", doc.AttributedNS)
+	}
+	if doc.Steps != 1 {
+		t.Errorf("steps = %d, want 1 (one thermal.step window)", doc.Steps)
 	}
 	// Fractions are shares of attributed time and must sum to 1.
 	var sum float64
@@ -109,21 +66,14 @@ func TestStageProfilerAttribution(t *testing.T) {
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("fractions sum to %v, want 1", sum)
 	}
-	if doc.CPUPipelineAllocs != 3 {
-		t.Errorf("cpu pipeline allocs = %d, want 3", doc.CPUPipelineAllocs)
-	}
-	if byName["power.compute"].Allocs != 3 {
-		t.Errorf("power.compute allocs = %d, want 3", byName["power.compute"].Allocs)
-	}
 	// Stage order in the document is the fixed enum order.
-	if doc.Stages[0].Name != "cpu.commit" || doc.Stages[len(doc.Stages)-1].Name != "trace.emit" {
+	if doc.Stages[0].Name != "cpu.run" || doc.Stages[len(doc.Stages)-1].Name != "trace.emit" {
 		t.Errorf("stage order drifted: first %q last %q", doc.Stages[0].Name, doc.Stages[len(doc.Stages)-1].Name)
 	}
 }
 
 func TestStageProfilerPublish(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(1), 10, 0)
-	p.StepTick()
+	p := fakeHooks(NewStageProfiler(), 10, 0)
 	p.Begin(StageThermalStep)
 	p.End(StageThermalStep)
 	reg := NewRegistry()
@@ -149,20 +99,18 @@ func TestStageProfilerPublish(t *testing.T) {
 }
 
 func TestStageProfileGroupFrac(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(1), 10, 0)
-	p.StepTick()
-	p.Begin(StageCPUCommit)
-	p.Mark()
-	p.Lap(StageCPUCommit) // 10 ns cpu
-	p.Lap(StageCache)     // 10 ns cpu (cache rolls up into the cpu group)
-	p.EndCPU()
+	p := fakeHooks(NewStageProfiler(), 10, 0)
+	p.Begin(StageCPURun)
+	p.End(StageCPURun) // 10 ns cpu
+	p.Begin(StagePowerCompute)
+	p.End(StagePowerCompute) // 10 ns power
 	p.Begin(StageSensorSample)
 	p.End(StageSensorSample) // 10 ns policy
 	p.Begin(StagePolicyDecide)
 	p.End(StagePolicyDecide) // 10 ns policy
 	doc := p.Profile("", "", "")
-	if got := doc.GroupFrac(StageGroupCPU); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("cpu group frac = %v, want 0.5", got)
+	if got := doc.GroupFrac(StageGroupCPU); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("cpu group frac = %v, want 0.25", got)
 	}
 	if got := doc.GroupFrac(StageGroupPolicy); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("policy group frac = %v, want 0.5", got)
@@ -173,10 +121,9 @@ func TestStageProfileGroupFrac(t *testing.T) {
 }
 
 func TestStageProfileFileRoundTrip(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(2), 5, 1)
-	p.StepTick()
-	p.Begin(StagePowerCompute)
-	p.End(StagePowerCompute)
+	p := fakeHooks(NewStageProfiler(), 5, 1)
+	p.Begin(StageThermalStep)
+	p.End(StageThermalStep)
 	doc := p.Profile("experiments", "gzip", "pi")
 	path := filepath.Join(t.TempDir(), "stageprofile.json")
 	if err := doc.WriteFile(path); err != nil {
@@ -186,7 +133,7 @@ func TestStageProfileFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Benchmark != "gzip" || got.StepsSampled != 1 || got.AttributedNS != doc.AttributedNS {
+	if got.Benchmark != "gzip" || got.Steps != 1 || got.AttributedNS != doc.AttributedNS {
 		t.Errorf("round trip drifted: %+v", got)
 	}
 	// Determinism: writing the same profile twice is byte-identical.
@@ -205,8 +152,10 @@ func TestStageProfileValidate(t *testing.T) {
 	if err := (StageProfile{Kind: "bench", Schema: 1}).Validate(); err == nil {
 		t.Error("wrong kind accepted")
 	}
-	if err := (StageProfile{Kind: KindStageProfile, Schema: 99}).Validate(); err == nil {
-		t.Error("future schema accepted")
+	for _, schema := range []int{1, 99} {
+		if err := (StageProfile{Kind: KindStageProfile, Schema: schema}).Validate(); err == nil {
+			t.Errorf("schema %d accepted", schema)
+		}
 	}
 	if _, err := LoadStageProfile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
@@ -216,9 +165,7 @@ func TestStageProfileValidate(t *testing.T) {
 func TestStageNamesAndGroups(t *testing.T) {
 	names := stageNames[:]
 	want := []string{
-		"cpu.commit", "cpu.issue_int", "cpu.issue_fp", "cpu.issue_mem",
-		"cpu.dispatch", "cpu.fetch", "bpred", "cache",
-		"power.compute", "thermal.step", "sensor.sample", "policy.decide",
+		"cpu.run", "power.compute", "thermal.step", "sensor.sample", "policy.decide",
 		"dvfs.actuate", "trace.emit",
 	}
 	if len(names) != len(want) {
@@ -229,7 +176,7 @@ func TestStageNamesAndGroups(t *testing.T) {
 			t.Errorf("stage %d = %q, want %q", i, names[i], want[i])
 		}
 	}
-	if StageBPred.Group() != StageGroupCPU || StageTraceEmit.Group() != StageGroupTrace {
-		t.Errorf("group mapping drifted: bpred=%q trace.emit=%q", StageBPred.Group(), StageTraceEmit.Group())
+	if StageCPURun.Group() != StageGroupCPU || StageTraceEmit.Group() != StageGroupTrace {
+		t.Errorf("group mapping drifted: cpu.run=%q trace.emit=%q", StageCPURun.Group(), StageTraceEmit.Group())
 	}
 }

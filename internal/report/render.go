@@ -214,9 +214,8 @@ var stageGroupColors = map[string]string{
 func stageSection(sp obs.StageProfile) section {
 	sec := section{Title: fmt.Sprintf("Where the time goes: %s under %s", sp.Benchmark, sp.Policy)}
 	sec.Prose = append(sec.Prose, fmt.Sprintf(
-		"%s — %d of %d thermal steps sampled (every %d), %.3g ms attributed, %d alloc(s) in the CPU pipeline.",
-		sp.Tool, sp.StepsSampled, sp.StepsTotal, sp.SampleEvery,
-		float64(sp.AttributedNS)/1e6, sp.CPUPipelineAllocs))
+		"%s — %d thermal steps timed, %.3g ms attributed.",
+		sp.Tool, sp.Steps, float64(sp.AttributedNS)/1e6))
 
 	t := table{Head: []string{"stage", "group", "share", "time", "invocations", "allocs"}}
 	for _, rec := range sp.Stages {

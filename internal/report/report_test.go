@@ -158,7 +158,7 @@ func TestGoldenReport(t *testing.T) {
 		"Policy comparison",
 		"Performance trajectory",
 		"Where the time goes: bzip2 under hyb",
-		"cpu.commit",
+		"cpu.run",
 		"PASS",
 	} {
 		if !strings.Contains(html, want) {

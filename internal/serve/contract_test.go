@@ -491,8 +491,8 @@ func TestDashboardStageAttribution(t *testing.T) {
 	if !ok {
 		t.Fatal("no stage profile after a finished job with StageProfile on")
 	}
-	if doc.Benchmark != "gzip" || doc.Policy != "hyb" || doc.StepsSampled == 0 {
-		t.Errorf("stage profile = %s/%s with %d sampled steps", doc.Benchmark, doc.Policy, doc.StepsSampled)
+	if doc.Benchmark != "gzip" || doc.Policy != "hyb" || doc.Steps == 0 {
+		t.Errorf("stage profile = %s/%s with %d steps", doc.Benchmark, doc.Policy, doc.Steps)
 	}
 
 	resp, body = do(t, http.MethodGet, ts.URL+"/v1/dashboard", "")

@@ -194,9 +194,8 @@ p.meta { color: #555; }
 	// is absent — and goldens unchanged — on profile-off servers).
 	if doc, ok := s.StageProfileDoc(); ok {
 		b.WriteString("<h2>Stage attribution</h2>\n")
-		fmt.Fprintf(&b, "<p class=\"meta\">last profiled job: %s under %s · %d/%d steps sampled</p>\n",
-			html.EscapeString(doc.Benchmark), html.EscapeString(doc.Policy),
-			doc.StepsSampled, doc.StepsTotal)
+		fmt.Fprintf(&b, "<p class=\"meta\">last profiled job: %s under %s · %d steps timed</p>\n",
+			html.EscapeString(doc.Benchmark), html.EscapeString(doc.Policy), doc.Steps)
 		b.WriteString("<table>\n<tr><th>stage</th><th>group</th><th>share</th><th>time</th></tr>\n")
 		for _, rec := range doc.Stages {
 			if rec.Invocations == 0 {

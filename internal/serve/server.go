@@ -468,7 +468,7 @@ func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 	// dashboard and /metrics track the most recent job's stage split.
 	var sp *obs.StageProfiler
 	if s.cfg.StageProfile {
-		sp = obs.NewStageProfiler(0)
+		sp = obs.NewStageProfiler()
 		cfg.Profiler = sp
 		defer func() {
 			doc := sp.Profile("dtmserve", j.cfg.Benchmark, j.cfg.Policy)
