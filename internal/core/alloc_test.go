@@ -76,7 +76,9 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	}
 	var members []*Simulator
 	for i := 0; i < 2; i++ {
-		s, err := co.Join(cfg, gzipProfile(t), nil) // no DTM: never acts, never leaves
+		// Both gate alike from the first sample: they never leave, and
+		// the cohort runs gated batches.
+		s, err := co.Join(cfg, gzipProfile(t), &script{ds: []dtm.Decision{{GateFrac: 0.25}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,10 +96,8 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		follow()
 	}
-	for _, s := range members {
-		if s.Done() || !s.Idle() {
-			t.Fatal("a member left the cohort; the follow path is not measured")
-		}
+	if len(f.sims) != len(members) {
+		t.Fatal("a member left the cohort; the follow path is not measured")
 	}
 	if allocs := testing.AllocsPerRun(50, follow); allocs != 0 {
 		t.Errorf("cohort step allocates %.1f times per iteration, want 0", allocs)

@@ -228,13 +228,7 @@ type loop struct {
 	prevGate                           float64
 	prevClockStop                      bool
 
-	// Actuator state.
-	level          int
-	gates          cpu.Gates
-	clockStop      bool
-	stallRemaining float64 // DVS-stall in progress
-	pendingLevel   int     // DVS-ideal scheduled level, -1 when none
-	pendingAt      float64
+	actuation
 
 	wall            float64 // simulated seconds since the settle phase began
 	nextSample      float64
@@ -253,10 +247,17 @@ type loop struct {
 	energy  float64
 }
 
-// idle is Simulator.Idle.
-func (l *loop) idle() bool {
-	return l.gates == (cpu.Gates{}) && l.level == 0 && !l.clockStop &&
-		stats.SameFloat(l.stallRemaining, 0) && l.pendingLevel < 0
+// actuation is a run's actuator state: everything through which its policy
+// changes what the pipeline executes. At rest (no gating, the nominal
+// level, the clock running, no DVS switch stalling or pending) a run drives
+// the pipeline as the run without DTM does.
+type actuation struct {
+	level          int
+	gates          cpu.Gates
+	clockStop      bool
+	stallRemaining float64 // DVS-stall in progress
+	pendingLevel   int     // DVS-ideal scheduled level, -1 when none
+	pendingAt      float64
 }
 
 // New assembles a simulator for one benchmark profile under one policy.
@@ -340,11 +341,18 @@ func (s *Simulator) Steps() uint64 { return s.l.stepIdx }
 // Done reports whether the run's measured window has completed.
 func (s *Simulator) Done() bool { return s.l.done }
 
-// Idle reports whether the run's actuators are all at rest: no gating,
-// the nominal DVS level, the clock running and no switch stalling or
-// pending. Until a run leaves this state its pipeline sees exactly what a
-// run without DTM sees, which is what lets a Cohort share one core.
-func (s *Simulator) Idle() bool { return s.l.idle() }
+// SameActuation reports whether s and o drive the pipeline alike: the same
+// gates, clock stop, DVS level at the same frequency, and DVS switch
+// stalling or pending. Runs that step in lockstep on one core and act
+// alike compute identical cpu batches, which is what lets a Cohort share
+// one core among them.
+func (s *Simulator) SameActuation(o *Simulator) bool {
+	return s.l.actuation == o.l.actuation &&
+		stats.SameFloat(s.ladder.Point(s.l.level).F, o.ladder.Point(o.l.level).F)
+}
+
+// freqRatio is the core's frequency ratio at the run's DVS level.
+func (s *Simulator) freqRatio() float64 { return s.ladder.Point(s.l.level).F / s.l.nomF }
 
 // start brings the simulator to the state its run begins from: the warm
 // step (unless the simulator was built on a Warm), then the apply step.
@@ -446,7 +454,7 @@ func (s *Simulator) begin(instructions uint64) {
 		nomF:           s.ladder.Nominal().F,
 		stepCycles:     uint64(s.cfg.ThermalStepCycles),
 		samplePeriod:   s.cfg.Sensors.SamplePeriod(),
-		pendingLevel:   -1,
+		actuation:      actuation{pendingLevel: -1},
 		measuring:      s.cfg.SettleInstructions == 0,
 		settleTarget:   s.core.Committed() + s.cfg.SettleInstructions,
 		startCommitted: s.core.Committed(),
@@ -533,8 +541,9 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 
 // step advances the run one thermal step. With shared nil the run executes
 // its own cpu batch; otherwise it follows a Cohort, whose core has already
-// run this step's batch ungated at nominal frequency and left its activity
-// in shared, and the run must not touch the core. On the step that
+// run this step's batch with the run's gates at its frequency (or none,
+// while the run stalls or stops the clock) and left its activity in
+// shared, and the run must not touch the core. On the step that
 // completes the measured window it fills in the Result and sets done.
 //
 //dtmlint:allocfree
@@ -659,8 +668,9 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 		}
 	}
 
-	// Apply a pending (ideal-mode) DVS transition. A follower never has
-	// one: a pending switch makes it leave its cohort.
+	// Apply a pending (ideal-mode) DVS transition. A follower leaves the
+	// shared core as it is: Cohort.Step sets the members' ratio before
+	// its next batch.
 	if l.pendingLevel >= 0 && wall >= l.pendingAt {
 		if sp != nil {
 			sp.Begin(obs.StageDVFSActuate)
@@ -668,8 +678,10 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 		from := l.level
 		l.level = l.pendingLevel
 		l.pendingLevel = -1
-		if err := s.core.SetFrequencyRatio(s.ladder.Point(l.level).F / l.nomF); err != nil {
-			return err
+		if shared == nil {
+			if err := s.core.SetFrequencyRatio(s.freqRatio()); err != nil {
+				return err
+			}
 		}
 		if tr != nil {
 			tr.Emit(&obs.Event{Kind: obs.KindActuation, Time: wall, Cycle: s.core.Cycle(), Step: stepIdx,
@@ -745,12 +757,11 @@ func (s *Simulator) step(shared *cpu.Activity) error {
 			if s.cfg.DVSStall {
 				// Pipeline stalls through the transition; the new
 				// setting is live afterwards. A follower leaves the
-				// shared core as it is: Fork sets the ratio on the core
-				// the run takes.
+				// shared core as it is, as above.
 				l.stallRemaining = s.cfg.DVSSwitchTime
 				l.level = want
 				if shared == nil {
-					if err := s.core.SetFrequencyRatio(s.ladder.Point(l.level).F / l.nomF); err != nil {
+					if err := s.core.SetFrequencyRatio(s.freqRatio()); err != nil {
 						return err
 					}
 				}

@@ -102,14 +102,15 @@ func WarmUp(ctx context.Context, cfg Config, prof trace.Profile) (*Warm, error) 
 	return w, nil
 }
 
-// Cohort is a set of simulators that follow one cpu core. Until a run's
-// policy first acts — gates, changes DVS level or stops the clock — the
-// run's pipeline sees exactly what a run without DTM sees, so every member
-// can take its activity from one shared batch per thermal step while
-// keeping its own power, thermal, sensor and policy state. Step advances
-// the members together and drops those that acted or finished; Fork then
-// gives them (or any other subset) a core of their own at that step
-// boundary.
+// Cohort is a set of simulators that follow one cpu core. A run's policy
+// changes its pipeline only through its actuators, so runs that start
+// from one warm state and act alike (Simulator.SameActuation) compute the
+// same cpu batch on every thermal step: every member takes its activity
+// from one shared batch per step while keeping its own power, thermal,
+// sensor and policy state. Until it first acts, every run acts alike with
+// the run without DTM. Step advances the members together until they
+// finish or no longer act alike; Fork then gives each group that does (or
+// any other subset) a core of its own at that step boundary.
 //
 // A Cohort is not safe for concurrent use, with one exception: several
 // Forks that copy may read one stopped cohort at once. An adopting Fork
@@ -167,10 +168,10 @@ func (c *Cohort) Join(cfg Config, prof trace.Profile, policy dtm.Policy) (*Simul
 // their own at c's current step boundary and returns them as a new
 // cohort: a copy of c's core, or c's core itself when adopt is set, after
 // which c cannot fork again. Members that have not begun their run begin
-// it on the new core. A fork of one member is simply that run: finish it
-// with RunContext. Several members share the new core and step together,
-// so they must agree on ThermalStepCycles, carry no Profiler and not yet
-// have acted.
+// it on the new core, and the core takes the members' frequency. A fork of
+// one member is simply that run: finish it with RunContext. Several
+// members share the new core and step together, so they must agree on
+// ThermalStepCycles and actuation and carry no Profiler.
 func (c *Cohort) Fork(members []*Simulator, adopt bool) (*Cohort, error) {
 	if c.core == nil {
 		return nil, errors.New("core: cohort core already adopted")
@@ -179,8 +180,8 @@ func (c *Cohort) Fork(members []*Simulator, adopt bool) (*Cohort, error) {
 		if s.core != c.core {
 			return nil, fmt.Errorf("core: %s/%s does not follow this cohort", s.prof.Name, s.policy.Name())
 		}
-		if len(members) > 1 && (s.cfg.Profiler != nil || (s.l.begun && !s.l.idle())) {
-			return nil, fmt.Errorf("core: %s/%s cannot share a core: it is profiled or its policy has acted", s.prof.Name, s.policy.Name())
+		if len(members) > 1 && (s.cfg.Profiler != nil || !s.SameActuation(members[0])) {
+			return nil, fmt.Errorf("core: %s/%s cannot share a core: it is profiled or its actuation differs", s.prof.Name, s.policy.Name())
 		}
 		if s.cfg.ThermalStepCycles != members[0].cfg.ThermalStepCycles {
 			return nil, errors.New("core: cohort members differ in ThermalStepCycles")
@@ -207,25 +208,25 @@ func (c *Cohort) Fork(members []*Simulator, adopt bool) (*Cohort, error) {
 				return nil, err
 			}
 			s.begin(c.instructions)
-		} else if s.l.level != 0 {
-			// A run that switched DVS level while it followed left the
-			// shared core at nominal frequency; its own core takes the
-			// new setting now, before its next batch.
-			if err := core.SetFrequencyRatio(s.ladder.Point(s.l.level).F / s.l.nomF); err != nil {
-				return nil, err
-			}
+		}
+		// Cohort.Step set c's core to the frequency the members had
+		// before their last step, which a DVS switch may have changed.
+		if err := core.SetFrequencyRatio(s.freqRatio()); err != nil {
+			return nil, err
 		}
 	}
 	return f, nil
 }
 
-// Step advances the cohort one thermal step: one ungated cpu batch at
-// nominal frequency on the shared core, then every member's own step on
-// that batch's activity. A member whose measured window completed
-// (Done) or whose policy acted (not Idle) leaves the cohort. A finished
-// run's RunContext returns its Result; an acted run goes on alone after a
-// Fork. Once any member has acted, the cohort must stop stepping until
-// the acted runs have forked, because they continue from this boundary.
+// Step advances the cohort one thermal step: one cpu batch on the shared
+// core with the members' common gates at their common frequency, none
+// while they stall through a DVS switch or stop the clock, then every
+// member's own step on that batch's activity. A member whose measured
+// window completed (Done) leaves the cohort; its RunContext returns its
+// Result. When the members left no longer act alike, they all leave: the
+// cohort has stopped at this step boundary, and each group that acts
+// alike goes on from it after a Fork. Step refuses members that differ in
+// actuation rather than run one member's gates for all of them.
 //
 //dtmlint:allocfree
 func (c *Cohort) Step(ctx context.Context) error {
@@ -235,23 +236,38 @@ func (c *Cohort) Step(ctx context.Context) error {
 	if len(c.sims) == 0 {
 		return nil
 	}
+	lead := c.sims[0]
 	for _, s := range c.sims {
 		if !s.l.begun {
 			return errors.New("core: cohort members begin on Fork")
 		}
+		if !s.SameActuation(lead) {
+			return errors.New("core: cohort members differ in actuation")
+		}
 	}
 	c.atWarm = false
 	c.act.Reset()
-	if _, err := c.core.RunGated(c.sims[0].l.stepCycles, cpu.Gates{}, &c.act); err != nil {
-		return err
+	if a := &lead.l.actuation; !a.clockStop && !(a.stallRemaining > 0) {
+		if err := c.core.SetFrequencyRatio(lead.freqRatio()); err != nil {
+			return err
+		}
+		if _, err := c.core.RunGated(lead.l.stepCycles, a.gates, &c.act); err != nil {
+			return err
+		}
 	}
 	keep := c.sims[:0]
 	for _, s := range c.sims {
 		if err := s.step(&c.act); err != nil {
 			return err
 		}
-		if !s.l.done && s.l.idle() {
+		if !s.l.done {
 			keep = append(keep, s) //dtmlint:allow allocguard filters c.sims in place
+		}
+	}
+	for _, s := range keep {
+		if !s.SameActuation(keep[0]) {
+			keep = keep[:0]
+			break
 		}
 	}
 	clear(c.sims[len(keep):]) // a member that left must not pin its next core

@@ -81,12 +81,39 @@ func runTraced(t *testing.T, build func(Config) (*Simulator, error), cfg Config,
 	return buf.Bytes(), res
 }
 
-// drive finishes members of the stopped cohort c the way a scheduler
-// does, on the calling goroutine: it forks them onto their own core
-// (adopting c's when adopt is set), steps them together until some act,
-// then forks each acted run alone and the rest as one cohort that adopts
-// the core last. Every result lands in out.
-func drive(t *testing.T, c *Cohort, members []*Simulator, adopt bool, n uint64, out map[*Simulator]Result) {
+// script is a test policy that takes its decisions from a list, one per
+// sensor sample; the last one repeats for every later sample.
+type script struct {
+	ds []dtm.Decision
+	n  int
+}
+
+func (p *script) Name() string { return "script" }
+func (p *script) Reset()       { p.n = 0 }
+
+func (p *script) Sample(_, _ float64) dtm.Decision {
+	d := p.ds[min(p.n, len(p.ds)-1)]
+	p.n++
+	return d
+}
+
+// driven is what drive records: every member's Result, and the members
+// that finished while following a cohort of several.
+type driven struct {
+	res    map[*Simulator]Result
+	shared map[*Simulator]bool
+}
+
+func newDriven() driven {
+	return driven{res: make(map[*Simulator]Result), shared: make(map[*Simulator]bool)}
+}
+
+// drive finishes members of the stopped cohort c on the calling goroutine:
+// it forks them onto their own core (adopting c's when adopt is set) and
+// steps them together until they finish or no longer act alike, then
+// forks each group that acts alike onto a copy of the core, the last
+// group adopting it.
+func drive(t *testing.T, c *Cohort, members []*Simulator, adopt bool, n uint64, out driven) {
 	t.Helper()
 	f, err := c.Fork(members, adopt)
 	if err != nil {
@@ -98,38 +125,43 @@ func drive(t *testing.T, c *Cohort, members []*Simulator, adopt bool, n uint64, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[s] = res
+		out.res[s] = res
 	}
 	if len(members) == 1 {
 		finish(members[0])
 		return
 	}
 	left := append([]*Simulator(nil), members...)
-	for len(left) > 0 {
+	for {
 		if err := f.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		var acted, kept []*Simulator
+		var groups [][]*Simulator
+	next:
 		for _, s := range left {
-			switch {
-			case s.Done():
+			if s.Done() {
+				out.shared[s] = true
 				finish(s)
-			case !s.Idle():
-				acted = append(acted, s)
-			default:
-				kept = append(kept, s)
+				continue
 			}
+			for i, g := range groups {
+				if s.SameActuation(g[0]) {
+					groups[i] = append(g, s)
+					continue next
+				}
+			}
+			groups = append(groups, []*Simulator{s})
 		}
-		left = kept
-		if len(acted) > 0 {
-			for i, s := range acted {
-				drive(t, f, []*Simulator{s}, len(left) == 0 && i == len(acted)-1, n, out)
-			}
-			if len(left) > 0 {
-				drive(t, f, left, true, n, out)
+		if len(groups) > 1 {
+			for i, g := range groups {
+				drive(t, f, g, i == len(groups)-1, n, out)
 			}
 			return
 		}
+		if len(groups) == 0 {
+			return
+		}
+		left = groups[0]
 	}
 }
 
@@ -138,8 +170,9 @@ func drive(t *testing.T, c *Cohort, members []*Simulator, adopt bool, n uint64, 
 // Warm must give the Result and the byte-identical JSONL event stream of
 // a fresh New + Run, for bzip2 and gcc under no DTM, FG, DVS, PI-Hyb and
 // Hyb. Three schedules are checked: each run forked alone at step 0 after
-// its sibling finished; all five sharing one core until each first acts,
-// then going on alone from that step boundary; and every step-0 fork
+// its sibling finished; all five sharing one core while they act alike,
+// each group that acts alike going on from the step boundary where they
+// diverge on a core of its own; and every step-0 fork
 // copied up front in reverse, the last adopting the Warm's core — so
 // neither a sibling's run nor the order of forking can leak into a result.
 func TestForkMatchesFresh(t *testing.T) {
@@ -203,13 +236,13 @@ func TestForkMatchesFresh(t *testing.T) {
 				}
 				return co, ms
 			}
-			checkAll := func(order string, ms []member, out map[*Simulator]Result) {
+			checkAll := func(order string, ms []member, out driven) {
 				t.Helper()
 				for i, m := range ms {
 					if err := m.jl.Err(); err != nil {
 						t.Fatal(err)
 					}
-					res, ok := out[m.sim]
+					res, ok := out.res[m.sim]
 					if !ok {
 						t.Fatalf("%s %s: no result", order, cases[i].name)
 					}
@@ -218,14 +251,14 @@ func TestForkMatchesFresh(t *testing.T) {
 			}
 
 			co, ms := cohort()
-			out := make(map[*Simulator]Result)
+			out := newDriven()
 			for i, m := range ms {
 				drive(t, co, []*Simulator{m.sim}, i == len(ms)-1, insts, out)
 			}
 			checkAll("in order", ms, out)
 
 			co, ms = cohort()
-			out = make(map[*Simulator]Result)
+			out = newDriven()
 			sims := make([]*Simulator, len(ms))
 			for i, m := range ms {
 				sims[i] = m.sim
@@ -242,16 +275,132 @@ func TestForkMatchesFresh(t *testing.T) {
 				}
 				forks[i] = f
 			}
-			out = make(map[*Simulator]Result)
+			out = newDriven()
 			for i := len(ms) - 1; i >= 0; i-- {
 				res, err := ms[i].sim.Run(insts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				out[ms[i].sim] = res
+				out.res[ms[i].sim] = res
 			}
 			checkAll("reverse", ms, out)
 		})
+	}
+}
+
+// TestCohortFollowsSwitches runs DVS-stall and DVS-ideal runs whose
+// scripted policies act alike for a while through a cohort, and checks
+// every Result against a fresh New + Run. All six follow one core at rest;
+// at the first switch the stall and ideal runs part. A leaves the stall
+// runs alone, on a copy of a core that sits at low voltage; C switches
+// back to nominal alone and adopts that core; the B pair and the I pair
+// each follow one core to the end, across a stall or a pending switch
+// and the change back to nominal.
+func TestCohortFollowsSwitches(t *testing.T) {
+	const insts = 1_000_000
+	cfg := quickConfig()
+	cfg.WarmupCycles = 50_000
+	cfg.InitCycles = 50_000
+	cfg.SettleInstructions = 200_000
+	cfg.Sensors.SampleRate = 100e3 // a sample every three or so steps
+	ideal := cfg
+	ideal.DVSStall = false
+	prof := gzipProfile(t)
+	rest, low := dtm.Decision{}, dtm.Decision{Level: 1}
+	// seq rests at sample 1, runs at low voltage from sample 2 and
+	// decides then from sample k on.
+	seq := func(k int, then dtm.Decision) []dtm.Decision {
+		ds := []dtm.Decision{rest}
+		for len(ds) < k-1 {
+			ds = append(ds, low)
+		}
+		return append(ds, then)
+	}
+	runs := []struct {
+		name string
+		cfg  Config
+		ds   []dtm.Decision
+	}{
+		{"A", cfg, seq(5, dtm.Decision{Level: 1, GateFrac: 0.25})},
+		{"B1", cfg, seq(9, rest)},
+		{"B2", cfg, seq(9, rest)},
+		{"C", cfg, seq(7, rest)},
+		{"I1", ideal, seq(9, rest)},
+		{"I2", ideal, seq(9, rest)},
+	}
+	w, err := WarmUp(context.Background(), cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCohort(w, insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := make([]*Simulator, len(runs))
+	for i, r := range runs {
+		if sims[i], err = co.Join(r.cfg, prof, &script{ds: r.ds}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := newDriven()
+	drive(t, co, sims, true, insts, out)
+	for i, r := range runs {
+		fresh, err := New(r.cfg, prof, &script{ds: r.ds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.res[sims[i]]; got != want {
+			t.Errorf("%s: Result diverged:\nfresh:  %+v\ncohort: %+v", r.name, want, got)
+		}
+		if want.DVSSwitches == 0 {
+			t.Errorf("%s: never switched; the test does not reach its switches", r.name)
+		}
+		if shared := r.name != "A" && r.name != "C"; out.shared[sims[i]] != shared {
+			t.Errorf("%s: finished following a cohort = %v, want %v", r.name, out.shared[sims[i]], shared)
+		}
+	}
+}
+
+// TestCohortRefusesUnalikeMembers checks that members which do not act
+// alike neither step together nor fork onto one core.
+func TestCohortRefusesUnalikeMembers(t *testing.T) {
+	cfg := quickConfig()
+	cfg.WarmupCycles = 20_000
+	cfg.InitCycles = 20_000
+	prof := gzipProfile(t)
+	w, err := WarmUp(context.Background(), cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := NewCohort(w, 10_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms []*Simulator
+	for i := 0; i < 2; i++ {
+		s, err := co.Join(cfg, prof, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, s)
+	}
+	f, err := co.Fork(ms, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ms[1].l.gates.Fetch = 0.5
+	if err := f.Step(context.Background()); err == nil || !strings.Contains(err.Error(), "actuation") {
+		t.Errorf("stepping unalike members: err = %v, want a refusal naming actuation", err)
+	}
+	if _, err := f.Fork(ms, false); err == nil || !strings.Contains(err.Error(), "actuation") {
+		t.Errorf("forking unalike members onto one core: err = %v, want a refusal naming actuation", err)
 	}
 }
 

@@ -6,7 +6,7 @@
 //
 // Every (benchmark, policy, config) simulation is independent — runs share
 // no mutable state, except that a benchmark's runs follow one cpu core,
-// advanced for all of them at once, until each policy first acts (see
+// advanced for all of them at once, while their policies act alike (see
 // share.go) — so the package executes them on a bounded worker pool (see
 // pool.go). Results are reassembled in submission order,
 // which makes parallel runs byte-identical to serial runs; Options.Workers
@@ -54,8 +54,8 @@ type Options struct {
 	// runtime.GOMAXPROCS(0); 1 reproduces serial execution. Results are
 	// identical for every setting. Every simulation a Runner makes —
 	// jobs and baselines alike — runs in a RunJobs batch, where a worker
-	// may step several runs of one benchmark on one shared core until
-	// their policies first act (see share.go), so a worker is not always
+	// may step several runs of one benchmark on one shared core while
+	// their policies act alike (see share.go), so a worker is not always
 	// one run; at most Workers + 1 cpu cores are alive at once per batch.
 	// A Config.Tracer serves one run at a time, so NewRunner accepts one
 	// only with Workers set to 1.
@@ -168,7 +168,7 @@ func HybPolicy(cfg core.Config, stall bool) PolicyFactory {
 // (concurrent requests for the same benchmark trigger exactly one
 // simulation, everyone else waits for it). Every simulation runs in a
 // RunJobs batch, within which the runs of a benchmark also share its warm
-// state and, until each policy first acts, its cpu core (see share.go).
+// state and, while their policies act alike, its cpu core (see share.go).
 type Runner struct {
 	opts    Options
 	workers int

@@ -30,7 +30,7 @@ type Job struct {
 // work and is returned; measurements of already-finished jobs are
 // discarded. RunJobs decides the schedule itself: the runs of a benchmark
 // — its uncached baseline and its jobs — warm one core and follow it
-// together until each policy first acts (see share.go).
+// together while their policies act alike (see share.go).
 func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, error) {
 	out, _, err := r.runJobs(ctx, jobs, nil)
 	return out, err

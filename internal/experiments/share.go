@@ -1,11 +1,12 @@
 // Core sharing for RunJobs batches. Every coupled run first pays a
 // policy-independent pre-loop (cache/predictor warm-up, the init window,
-// the leakage-coupled steady-state solve; see core.WarmUp), and until its
-// policy first acts it is, step for step, the run without DTM. So within
-// one batch the runs of a benchmark — its baseline and every policy — form
-// a group: one worker warms the group's core once, and the group's runs
-// then follow that core as one core.Cohort, each leaving it at the step
-// boundary where its policy first acts.
+// the leakage-coupled steady-state solve; see core.WarmUp), and a policy
+// changes its run's pipeline only through its actuators. So within one
+// batch the runs of a benchmark — its baseline and every policy — form a
+// group: one worker warms the group's core once, and the group's runs
+// then follow that core as one core.Cohort while they act alike
+// (core.Simulator.SameActuation). Where they part, the largest set that
+// still acts alike goes on sharing and every other run goes on alone.
 //
 // Every hand-over goes through one mechanism, a claim: some runs that go
 // on from a cohort stopped at a step boundary. The warm fork is the
@@ -307,7 +308,9 @@ func (b *batch) warm(ctx context.Context, g []*run) ([]*claim, error) {
 }
 
 // follow starts a claim on its own core and runs it until its runs have
-// finished or some of them have acted, which stops it with new claims.
+// finished or no longer act alike. Then the cohort stops with new claims:
+// every run outside the largest group that acts alike goes on alone, and
+// that group goes on sharing as the last claim, which adopts the core.
 func (b *batch) follow(ctx context.Context, c *claim, adopt bool) ([]*claim, error) {
 	if adopt {
 		c.from.copies.Wait()
@@ -342,37 +345,60 @@ func (b *batch) follow(ctx context.Context, c *claim, adopt bool) ([]*claim, err
 			return nil, err
 		}
 		steps++
-		var acted []*run
 		kept := left[:0]
 		for _, u := range left {
-			switch {
-			case u.sim.Done():
-				res, err := u.sim.RunContext(ctx, b.r.opts.Instructions)
-				if err != nil {
-					return nil, err
-				}
-				b.finish(u, res)
-			case !u.sim.Idle():
-				acted = append(acted, u)
-			default:
+			if !u.sim.Done() {
 				kept = append(kept, u)
+				continue
 			}
+			res, err := u.sim.RunContext(ctx, b.r.opts.Instructions)
+			if err != nil {
+				return nil, err
+			}
+			b.finish(u, res)
 		}
 		left = kept
-		if len(acted) == 0 {
+		groups := byActuation(left)
+		if len(groups) < 2 {
 			continue
 		}
+		// Only one group goes on sharing, so a group in flight holds at
+		// most one stopped core (DESIGN.md "Shared cores").
+		largest := 0
+		for i, g := range groups {
+			if len(g) > len(groups[largest]) {
+				largest = i
+			}
+		}
 		from := &stopped{co: co}
-		claims := make([]*claim, 0, len(acted)+1)
-		for _, u := range acted {
-			claims = append(claims, &claim{from: from, runs: []*run{u}})
+		claims := make([]*claim, 0, len(left)+1)
+		for i, g := range groups {
+			if i == largest {
+				continue
+			}
+			for _, u := range g {
+				claims = append(claims, &claim{from: from, runs: []*run{u}})
+			}
 		}
-		if len(left) > 0 {
-			claims = append(claims, &claim{from: from, runs: left})
-		}
-		return claims, nil
+		return append(claims, &claim{from: from, runs: groups[largest]}), nil
 	}
 	return nil, nil
+}
+
+// byActuation groups runs that act alike, in order of first appearance.
+func byActuation(runs []*run) [][]*run {
+	var groups [][]*run
+next:
+	for _, u := range runs {
+		for i, g := range groups {
+			if u.sim.SameActuation(g[0].sim) {
+				groups[i] = append(g, u)
+				continue next
+			}
+		}
+		groups = append(groups, []*run{u})
+	}
+	return groups
 }
 
 // countSteps adds thermal steps advanced on one core to pool.core_steps.

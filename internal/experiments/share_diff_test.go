@@ -22,8 +22,12 @@ import (
 // batches are Figure 4 (stall and ideal), Figure 3a and the crossover
 // invariance study, one mixing thermal step sizes (only runs at the first
 // sharing run's step size follow the core) and one carrying a job-config
-// Profiler (that run goes alone from step 0). On Figure 4 pool.core_steps
-// must fall below sim.thermal_steps: the test must not pass vacuously.
+// Profiler (that run goes alone from step 0). Runs share a core while
+// their policies act alike: FG and PI-Hyb until PI-Hyb's integrator
+// reaches its cap, Figure 3a's duty-cycle variants until theirs part. On
+// Figure 4 pool.core_steps must fall below sim.thermal_steps, so the test
+// does not pass vacuously; TestAlikeRunsShareOneCore pins that sharing
+// goes on past the first action.
 func TestSharedRunsMatchSolo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("hundreds of coupled runs")
