@@ -55,17 +55,29 @@ func newRunner(b *testing.B) *experiments.Runner {
 	return r
 }
 
+// newPlan starts a plan on a fresh runner.
+func newPlan(b *testing.B) *experiments.Plan {
+	b.Helper()
+	return experiments.NewPlan(newRunner(b))
+}
+
+// runPlan runs a plan's batch.
+func runPlan(b *testing.B, p *experiments.Plan) {
+	b.Helper()
+	if err := p.Run(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkCharacterise regenerates the §3 benchmark characterization
 // table (no-DTM IPC, power, peak temperature per benchmark).
 func BenchmarkCharacterise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		rows, err := experiments.Characterise(context.Background(), r)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		rows := p.Characterise()
+		runPlan(b, p)
 		var maxT float64
-		for _, row := range rows {
+		for _, row := range *rows {
 			if row.MaxTemp > maxT {
 				maxT = row.MaxTemp
 			}
@@ -78,10 +90,9 @@ func BenchmarkCharacterise(b *testing.B) {
 // cycle, DVS-stall) and reports the best duty cycle and its slowdown.
 func BenchmarkFig3a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3a(context.Background(), newRunner(b), true)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.Fig3a(true)
+		runPlan(b, p)
 		best := res.BestDuty()
 		b.ReportMetric(best, "bestDuty")
 		for _, row := range res.Rows {
@@ -96,10 +107,9 @@ func BenchmarkFig3a(b *testing.B) {
 // only the mildest gating is justified.
 func BenchmarkFig3aIdeal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3a(context.Background(), newRunner(b), false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.Fig3a(false)
+		runPlan(b, p)
 		b.ReportMetric(res.BestDuty(), "bestDuty")
 	}
 }
@@ -108,10 +118,9 @@ func BenchmarkFig3aIdeal(b *testing.B) {
 // duty cycle, with the DVS overhead reference line).
 func BenchmarkFig3b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig3b(context.Background(), newRunner(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.Fig3b()
+		runPlan(b, p)
 		b.ReportMetric(res.DVSSlowdown, "dvsSlowdown")
 		// The harshest FG setting's slowdown: the linear-regime endpoint.
 		last := res.Rows[len(res.Rows)-1]
@@ -137,22 +146,20 @@ func reportFig4(b *testing.B, res experiments.Fig4Result) {
 // headline result — hybrids cut a large share of DVS's DTM overhead.
 func BenchmarkFig4a(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(context.Background(), newRunner(b), true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFig4(b, res)
+		p := newPlan(b)
+		res := p.Fig4(true)
+		runPlan(b, p)
+		reportFig4(b, *res)
 	}
 }
 
 // BenchmarkFig4b regenerates Figure 4b (policy comparison, DVS-ideal).
 func BenchmarkFig4b(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig4(context.Background(), newRunner(b), false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportFig4(b, res)
+		p := newPlan(b)
+		res := p.Fig4(false)
+		runPlan(b, p)
+		reportFig4(b, *res)
 	}
 }
 
@@ -160,15 +167,9 @@ func BenchmarkFig4b(b *testing.B) {
 // between binary and continuous DVS should be small.
 func BenchmarkStepSize(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := newRunner(b)
-		stall, err := experiments.StepSizeStudy(context.Background(), r, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ideal, err := experiments.StepSizeStudy(context.Background(), r, false)
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		stall, ideal := p.StepSizeStudy(true), p.StepSizeStudy(false)
+		runPlan(b, p)
 		b.ReportMetric(100*stall.MaxSpread(), "stallSpread%")
 		b.ReportMetric(100*ideal.MaxSpread(), "idealSpread%")
 	}
@@ -177,10 +178,9 @@ func BenchmarkStepSize(b *testing.B) {
 // BenchmarkVoltageFloor regenerates the §4.1 low-voltage search.
 func BenchmarkVoltageFloor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.VoltageFloor(context.Background(), newRunner(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.VoltageFloor()
+		runPlan(b, p)
 		b.ReportMetric(100*res.Floor(), "floor%")
 	}
 }
@@ -188,10 +188,9 @@ func BenchmarkVoltageFloor(b *testing.B) {
 // BenchmarkCrossover regenerates the §5.1 crossover-invariance study.
 func BenchmarkCrossover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.CrossoverInvariance(context.Background(), newRunner(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.CrossoverInvariance()
+		runPlan(b, p)
 		duties := map[float64]bool{}
 		for _, d := range res.BestDutyPerVMin {
 			duties[d] = true
@@ -590,10 +589,9 @@ func BenchmarkStatsTTest(b *testing.B) {
 // little advantage over fetch gating.
 func BenchmarkLocalVsFG(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.LocalVsFG(context.Background(), newRunner(b))
-		if err != nil {
-			b.Fatal(err)
-		}
+		p := newPlan(b)
+		res := p.LocalVsFG()
+		runPlan(b, p)
 		b.ReportMetric(res.FGMean(), "fg")
 		b.ReportMetric(res.LocalMean(), "local")
 	}

@@ -1,6 +1,7 @@
 // Command experiments regenerates every table and figure from the paper's
-// evaluation (§4.1 studies, Figures 3a, 3b, 4a, 4b, and the §3 benchmark
-// characterization). Output is the same rows/series the paper reports;
+// evaluation (§4.1 studies, Figures 3a, 3b, 4a, 4b, the §3 benchmark
+// characterization, the §2 local-toggling comparison and the §6 figure of
+// merit). Output is the same rows/series the paper reports;
 // EXPERIMENTS.md records the comparison against the published results.
 //
 // Usage:
@@ -8,11 +9,14 @@
 //	experiments [-insts N] [-bench name] [-workers N] [-v] [-quiet] [id ...]
 //
 // where id is one of: bench, 3a, 3a-ideal, 3b, 4a, 4b, steps, vfloor,
-// cross, all. Default: all. Independent simulations fan out over -workers
-// goroutines (default: one per CPU); results are identical for any worker
-// count, so -workers only changes wall-clock time. Use -insts to scale the
-// per-run instruction budget. Interrupting (Ctrl-C) cancels outstanding
-// simulations promptly.
+// cross, local, merit, all. Default: all. Every wanted section but merit
+// is declared on one experiments.Plan and runs as one batch, so each
+// benchmark is warmed once; the sections print, in the order above, when
+// that batch ends, and merit's cpu-only studies run after it.
+// Independent simulations fan out over -workers goroutines (default: one
+// per CPU); results are identical for any worker count, so -workers only
+// changes wall-clock time. Use -insts to scale the per-run instruction
+// budget. Interrupting (Ctrl-C) cancels outstanding simulations promptly.
 //
 // Observability: progress (N/M jobs with ETA) goes to stderr at Info
 // level; -v adds a Debug line per simulation, -quiet silences both. A
@@ -48,6 +52,10 @@ import (
 	"hybriddtm/internal/report"
 	"hybriddtm/internal/trace"
 )
+
+// sectionIDs are the section ids in print order. merit runs its cpu-only
+// studies after the batch.
+var sectionIDs = []string{"bench", "3a", "3a-ideal", "3b", "4a", "4b", "steps", "vfloor", "cross", "local", "merit"}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -85,7 +93,7 @@ func run(ctx context.Context) error {
 	want := map[string]bool{}
 	for _, id := range ids {
 		if id == "all" {
-			for _, x := range []string{"bench", "3a", "3a-ideal", "3b", "4a", "4b", "steps", "vfloor", "cross", "local", "merit"} {
+			for _, x := range sectionIDs {
 				want[x] = true
 			}
 			continue
@@ -129,91 +137,54 @@ func run(ctx context.Context) error {
 	start := time.Now() //dtmlint:allow detguard wall-clock suite duration for the run manifest
 	doc := report.NewResults("experiments")
 
-	section := func(id string) bool {
+	// Every wanted section declares its rows on one plan, which runs as one
+	// batch; the sections print in sectionIDs order once it ends.
+	plan := experiments.NewPlan(r)
+	declared := make(map[string][]fmt.Stringer)
+	for _, id := range sectionIDs {
 		if !want[id] {
-			return false
+			continue
+		}
+		switch id {
+		case "bench":
+			declared[id] = []fmt.Stringer{plan.Characterise()}
+		case "3a", "3a-ideal":
+			declared[id] = []fmt.Stringer{plan.Fig3a(id == "3a")}
+		case "3b":
+			declared[id] = []fmt.Stringer{plan.Fig3b()}
+		case "4a", "4b":
+			declared[id] = []fmt.Stringer{plan.Fig4(id == "4a")}
+		case "steps":
+			declared[id] = []fmt.Stringer{plan.StepSizeStudy(true), plan.StepSizeStudy(false)}
+		case "vfloor":
+			declared[id] = []fmt.Stringer{plan.VoltageFloor()}
+		case "cross":
+			declared[id] = []fmt.Stringer{plan.CrossoverInvariance()}
+		case "local":
+			declared[id] = []fmt.Stringer{plan.LocalVsFG()}
+		}
+	}
+	if err := plan.Run(ctx); err != nil {
+		return err
+	}
+	for _, id := range sectionIDs {
+		res, ok := declared[id]
+		if !ok {
+			continue
 		}
 		fmt.Printf("==== %s ====\n", id)
-		return true
-	}
-
-	if section("bench") {
-		rows, err := experiments.Characterise(ctx, r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCharacterise(rows))
-	}
-	if section("3a") {
-		res, err := experiments.Fig3a(ctx, r, true)
-		if err != nil {
-			return err
-		}
-		doc.AddFig3a(res)
-		fmt.Println(res)
-	}
-	if section("3a-ideal") {
-		res, err := experiments.Fig3a(ctx, r, false)
-		if err != nil {
-			return err
-		}
-		doc.AddFig3a(res)
-		fmt.Println(res)
-	}
-	if section("3b") {
-		res, err := experiments.Fig3b(ctx, r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if section("4a") {
-		res, err := experiments.Fig4(ctx, r, true)
-		if err != nil {
-			return err
-		}
-		doc.AddFig4(res)
-		fmt.Println(res)
-	}
-	if section("4b") {
-		res, err := experiments.Fig4(ctx, r, false)
-		if err != nil {
-			return err
-		}
-		doc.AddFig4(res)
-		fmt.Println(res)
-	}
-	if section("steps") {
-		for _, stall := range []bool{true, false} {
-			res, err := experiments.StepSizeStudy(ctx, r, stall)
-			if err != nil {
-				return err
+		for _, x := range res {
+			fmt.Println(x)
+			switch f := x.(type) {
+			case *experiments.Fig3aResult:
+				doc.AddFig3a(*f)
+			case *experiments.Fig4Result:
+				doc.AddFig4(*f)
 			}
-			fmt.Println(res)
 		}
 	}
-	if section("vfloor") {
-		res, err := experiments.VoltageFloor(ctx, r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if section("cross") {
-		res, err := experiments.CrossoverInvariance(ctx, r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if section("local") {
-		res, err := experiments.LocalVsFG(ctx, r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(res)
-	}
-	if section("merit") {
+	if want["merit"] {
+		fmt.Println("==== merit ====")
 		names := make([]string, 0, 3)
 		for _, name := range []string{"gzip", "gcc", "art"} {
 			if *bench != "" && name != *bench {

@@ -5,6 +5,7 @@ package hybriddtm
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -196,28 +197,39 @@ func Peek(b *Box) int { return b.n }
 	}
 }
 
-// copyTree clones the checked-in working tree (tracked files only) into
-// a temp dir so tests can mutate sources freely.
+// copyTree copies the module's sources — go.mod, go.sum and every .go
+// file, outside dot-directories such as .git — into a temp dir so tests
+// can mutate them freely. It walks the tree rather than asking git, so it
+// also works in an exported source tree.
 func copyTree(t *testing.T) string {
 	t.Helper()
-	out, err := exec.Command("git", "ls-files").Output()
-	if err != nil {
-		t.Fatalf("git ls-files: %v", err)
-	}
 	dir := t.TempDir()
-	for _, name := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-		data, err := os.ReadFile(name)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
-			// Tracked but deleted in the working tree: skip.
-			continue
+			return err
 		}
-		dst := filepath.Join(dir, name)
+		name := d.Name()
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(name, ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if name != "go.mod" && name != "go.sum" && !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, path)
 		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := os.WriteFile(dst, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return dir
 }

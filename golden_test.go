@@ -52,28 +52,23 @@ func goldenRunner(t *testing.T) *experiments.Runner {
 	return r
 }
 
-// TestGoldenNumbers runs the headline experiments once on a shared runner
-// (the baseline cache is reused across subtests) and asserts the paper's
-// claims. Subtests are sequential by design — the interesting parallelism
-// is inside the runner.
+// TestGoldenNumbers declares the headline experiments on one plan, runs
+// them as one batch, and asserts the paper's claims in subtests.
 func TestGoldenNumbers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden regressions are slow")
 	}
-	r := goldenRunner(t)
-	ctx := context.Background()
+	p := experiments.NewPlan(goldenRunner(t))
+	stall, ideal := p.Fig3a(true), p.Fig3a(false)
+	fig4 := []*experiments.Fig4Result{p.Fig4(true), p.Fig4(false)}
+	steps := []*experiments.StepSizeResult{p.StepSizeStudy(true), p.StepSizeStudy(false)}
+	if err := p.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	t.Run("Fig3a-crossover", func(t *testing.T) {
-		stall, err := experiments.Fig3a(ctx, r, true)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if d := stall.BestDuty(); d != 3 {
 			t.Errorf("Fig3a(stall) best duty = %g, want 3 (the paper's §5.1 crossover)\n%s", d, stall)
-		}
-		ideal, err := experiments.Fig3a(ctx, r, false)
-		if err != nil {
-			t.Fatal(err)
 		}
 		if d := ideal.BestDuty(); d != 20 {
 			t.Errorf("Fig3a(ideal) best duty = %g, want 20 (mildest gating)\n%s", d, ideal)
@@ -81,20 +76,16 @@ func TestGoldenNumbers(t *testing.T) {
 	})
 
 	t.Run("Fig4-hybrid-beats-DVS", func(t *testing.T) {
-		for _, stall := range []bool{true, false} {
-			f4, err := experiments.Fig4(ctx, r, stall)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, f4 := range fig4 {
 			dvs := f4.Mean("DVS")
 			for _, hyb := range []string{"PI-Hyb", "Hyb"} {
 				if m := f4.Mean(hyb); m >= dvs {
 					t.Errorf("stall=%v: %s mean slowdown %.4f !< DVS %.4f (paper: hybrids reduce DTM overhead)",
-						stall, hyb, m, dvs)
+						f4.Stall, hyb, m, dvs)
 				}
 			}
 			if f4.Violations["PI-Hyb"] || f4.Violations["Hyb"] {
-				t.Errorf("stall=%v: hybrid policy violated the thermal limit", stall)
+				t.Errorf("stall=%v: hybrid policy violated the thermal limit", f4.Stall)
 			}
 		}
 	})
@@ -112,14 +103,11 @@ func TestGoldenNumbers(t *testing.T) {
 		// engineering claim the bound supports: binary DVS stays within a
 		// few percent of the best ladder (with stalled switches it is the
 		// best), which is why Hyb can afford to use binary DVS.
-		for _, c := range []struct {
+		for i, c := range []struct {
 			stall bool
 			bound float64
 		}{{true, 0.09}, {false, 0.03}} {
-			ss, err := experiments.StepSizeStudy(ctx, r, c.stall)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ss := steps[i]
 			if sp := ss.MaxSpread(); sp >= c.bound {
 				t.Errorf("stall=%v: DVS step-size spread = %.4f, want < %.2f\n%s",
 					c.stall, sp, c.bound, ss)

@@ -1,7 +1,7 @@
-// Package experiments defines the paper's evaluation as reusable,
-// parameterized experiment functions: every figure and table in §5 (and the
-// studies reported in the §4.1 text) can be regenerated through this
-// package, either from the cmd/experiments tool or from the benchmark
+// Package experiments defines the paper's evaluation as figures declared
+// on a Plan: every figure and table in §5 (and the studies reported in the
+// §4.1 text) adds its rows to a plan, and one plan runs any set of them as
+// one batch, either from the cmd/experiments tool or from the benchmark
 // harness in the repository root. DESIGN.md carries the experiment index.
 //
 // Every (benchmark, policy, config) simulation is independent — runs share
@@ -319,11 +319,9 @@ func (r *Runner) measure(ctx context.Context, job Job, res core.Result) (Measure
 // SuiteContext runs every benchmark under the factory on the worker pool
 // and returns measurements in benchmark order.
 func (r *Runner) SuiteContext(ctx context.Context, cfg core.Config, factory PolicyFactory) ([]Measurement, error) {
-	jobs := make([]Job, len(r.opts.Benchmarks))
-	for i, b := range r.opts.Benchmarks {
-		jobs[i] = Job{Config: cfg, Profile: b, Factory: factory}
-	}
-	return r.RunJobs(ctx, jobs)
+	p := NewPlan(r)
+	p.row(cfg, factory)
+	return r.RunJobs(ctx, p.jobs())
 }
 
 // Slowdowns extracts the slowdown column.

@@ -277,8 +277,8 @@ func TestMiniFig4Smoke(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	rows := []CharacteriseRow{{Benchmark: "gzip", IPC: 2.2, AvgPower: 30, MaxTemp: 90, HottestBlock: "IntReg", FracAboveTrigger: 0.9, Violates: true}}
-	if out := FormatCharacterise(rows); out == "" || !contains(out, "gzip") {
+	rows := CharacteriseRows{{Benchmark: "gzip", IPC: 2.2, AvgPower: 30, MaxTemp: 90, HottestBlock: "IntReg", FracAboveTrigger: 0.9, Violates: true}}
+	if out := rows.String(); out == "" || !contains(out, "gzip") {
 		t.Errorf("characterise format: %q", out)
 	}
 	f3b := Fig3bResult{Rows: []Fig3bRow{{DutyCycle: 3, MeanSlowdown: 1.2, Violations: true}}, DVSSlowdown: 1.1}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hybriddtm/internal/core"
-	"hybriddtm/internal/dtm"
-	"hybriddtm/internal/dvfs"
 	"hybriddtm/internal/stats"
 )
 
@@ -15,22 +12,6 @@ import (
 // fetch cycle in x is gated, so gate fraction = 1/x. Larger duty values are
 // milder gating; in PI-Hyb they mean DVS engages sooner.
 var DutyCycleAxis = []float64{20, 10, 5, 4, 3, 2.5, 2, 1.5}
-
-// pihybAtDuty builds the PI-Hyb factory with its crossover at the given
-// duty cycle.
-func pihybAtDuty(cfg core.Config, duty float64) PolicyFactory {
-	gate := 1 / duty
-	return PolicyFactory{
-		Name: fmt.Sprintf("PI-Hyb(d=%g)", duty),
-		New: func() (dtm.Policy, error) {
-			ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-			if err != nil {
-				return nil, err
-			}
-			return dtm.PIHyb(cfg.Trigger, dtm.DefaultFGGain, gate, ladder)
-		},
-	}
-}
 
 // Fig3aRow is one point of Figure 3a.
 type Fig3aRow struct {
@@ -47,34 +28,25 @@ type Fig3aResult struct {
 	Rows  []Fig3aRow
 }
 
-// Fig3a regenerates Figure 3a. The whole duty × benchmark grid is submitted
-// to the worker pool as one batch; RunJobs groups each benchmark's runs so
-// they share one warm state.
-func Fig3a(ctx context.Context, r *Runner, stall bool) (Fig3aResult, error) {
-	cfg := r.opts.Config
+// Fig3a declares Figure 3a: one PI-Hyb row per duty cycle.
+func (p *Plan) Fig3a(stall bool) *Fig3aResult {
+	cfg := p.r.opts.Config
 	cfg.DVSStall = stall
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, len(DutyCycleAxis)*nb)
 	for _, duty := range DutyCycleAxis {
-		factory := pihybAtDuty(cfg, duty)
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: factory})
+		p.scheme(cfg, "pi-hyb", 1/duty, 0, fmt.Sprintf("PI-Hyb(d=%g)", duty))
+	}
+	out := &Fig3aResult{Stall: stall}
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		for i, row := range rows {
+			out.Rows = append(out.Rows, Fig3aRow{
+				DutyCycle:    DutyCycleAxis[i],
+				MeanSlowdown: stats.Mean(Slowdowns(row)),
+				Violations:   AnyViolation(row),
+			})
 		}
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return Fig3aResult{}, err
-	}
-	out := Fig3aResult{Stall: stall}
-	for i, duty := range DutyCycleAxis {
-		row := ms[i*nb : (i+1)*nb]
-		out.Rows = append(out.Rows, Fig3aRow{
-			DutyCycle:    duty,
-			MeanSlowdown: stats.Mean(Slowdowns(row)),
-			Violations:   AnyViolation(row),
-		})
-	}
-	return out, nil
+		return nil
+	})
+	return out
 }
 
 // BestDuty returns the duty cycle with the lowest mean slowdown among
@@ -128,44 +100,28 @@ type Fig3bResult struct {
 	DVSSlowdown float64 // binary DVS-stall mean, the horizontal line
 }
 
-// Fig3b regenerates Figure 3b. The FG duty grid and the DVS reference
-// suite are submitted as one batch.
-func Fig3b(ctx context.Context, r *Runner) (Fig3bResult, error) {
-	cfg := r.opts.Config
+// Fig3b declares Figure 3b: one fixed-FG row per duty cycle, then the
+// DVS reference row.
+func (p *Plan) Fig3b() *Fig3bResult {
+	cfg := p.r.opts.Config
 	cfg.DVSStall = true
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, (len(DutyCycleAxis)+1)*nb)
 	for _, duty := range DutyCycleAxis {
-		gate := 1 / duty
-		factory := PolicyFactory{
-			Name: fmt.Sprintf("FG(d=%g)", duty),
-			New: func() (dtm.Policy, error) {
-				return dtm.FixedFG(cfg.Trigger, gate)
-			},
+		p.scheme(cfg, "fg-fixed", 1/duty, 0, fmt.Sprintf("FG(d=%g)", duty))
+	}
+	p.row(cfg, DVSPolicy(cfg))
+	out := &Fig3bResult{}
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		for i, duty := range DutyCycleAxis {
+			out.Rows = append(out.Rows, Fig3bRow{
+				DutyCycle:    duty,
+				MeanSlowdown: stats.Mean(Slowdowns(rows[i])),
+				Violations:   AnyViolation(rows[i]),
+			})
 		}
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: factory})
-		}
-	}
-	for _, b := range r.opts.Benchmarks {
-		jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: DVSPolicy(cfg)})
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return Fig3bResult{}, err
-	}
-	var out Fig3bResult
-	for i, duty := range DutyCycleAxis {
-		row := ms[i*nb : (i+1)*nb]
-		out.Rows = append(out.Rows, Fig3bRow{
-			DutyCycle:    duty,
-			MeanSlowdown: stats.Mean(Slowdowns(row)),
-			Violations:   AnyViolation(row),
-		})
-	}
-	dvs := ms[len(DutyCycleAxis)*nb:]
-	out.DVSSlowdown = stats.Mean(Slowdowns(dvs))
-	return out, nil
+		out.DVSSlowdown = stats.Mean(Slowdowns(rows[len(DutyCycleAxis)]))
+		return nil
+	})
+	return out
 }
 
 // String renders the figure as a table.
@@ -200,18 +156,29 @@ type Fig4Result struct {
 // Fig4PolicyOrder is the presentation order of Figure 4's bars.
 var Fig4PolicyOrder = []string{"FG", "DVS", "PI-Hyb", "Hyb"}
 
-// Fig4 regenerates Figure 4a (stall=true) or 4b (stall=false). All policy
-// × benchmark simulations run as one batch on the worker pool.
+// Fig4 regenerates Figure 4a (stall=true) or 4b (stall=false) as a plan
+// of its own.
 func Fig4(ctx context.Context, r *Runner, stall bool) (Fig4Result, error) {
-	cfg := r.opts.Config
+	p := NewPlan(r)
+	res := p.Fig4(stall)
+	if err := p.Run(ctx); err != nil {
+		return Fig4Result{}, err
+	}
+	return *res, nil
+}
+
+// Fig4 declares Figure 4a (stall=true) or 4b (stall=false): one row per
+// policy.
+func (p *Plan) Fig4(stall bool) *Fig4Result {
+	cfg := p.r.opts.Config
 	cfg.DVSStall = stall
-	out := Fig4Result{
+	out := &Fig4Result{
 		Stall:      stall,
 		Policies:   make(map[string][]float64),
 		Violations: make(map[string]bool),
 		VsDVS:      make(map[string]stats.PairedTTestResult),
 	}
-	for _, b := range r.opts.Benchmarks {
+	for _, b := range p.r.opts.Benchmarks {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
 	}
 	factories := []PolicyFactory{
@@ -220,37 +187,31 @@ func Fig4(ctx context.Context, r *Runner, stall bool) (Fig4Result, error) {
 		PIHybPolicy(cfg, stall),
 		HybPolicy(cfg, stall),
 	}
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, len(factories)*nb)
 	for _, f := range factories {
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: f})
+		p.row(cfg, f)
+	}
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		for i, f := range factories {
+			out.Policies[f.Name] = Slowdowns(rows[i])
+			out.Violations[f.Name] = AnyViolation(rows[i])
 		}
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return Fig4Result{}, err
-	}
-	for i, f := range factories {
-		row := ms[i*nb : (i+1)*nb]
-		out.Policies[f.Name] = Slowdowns(row)
-		out.Violations[f.Name] = AnyViolation(row)
-	}
-	// The paired t-test needs at least two benchmarks; smoke-scale runs on
-	// a single workload simply omit the significance column.
-	if dvs := out.Policies["DVS"]; len(dvs) >= 2 {
-		for _, name := range Fig4PolicyOrder {
-			if name == "DVS" {
-				continue
+		// The paired t-test needs at least two benchmarks; smoke-scale runs
+		// on a single workload simply omit the significance column.
+		if dvs := out.Policies["DVS"]; len(dvs) >= 2 {
+			for _, name := range Fig4PolicyOrder {
+				if name == "DVS" {
+					continue
+				}
+				res, err := stats.PairedTTest(out.Policies[name], dvs)
+				if err != nil {
+					return err
+				}
+				out.VsDVS[name] = res
 			}
-			res, err := stats.PairedTTest(out.Policies[name], dvs)
-			if err != nil {
-				return Fig4Result{}, err
-			}
-			out.VsDVS[name] = res
 		}
-	}
-	return out, nil
+		return nil
+	})
+	return out
 }
 
 // Mean returns the mean slowdown for a policy.

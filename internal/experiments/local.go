@@ -57,31 +57,22 @@ func (r LocalVsFGResult) FGMean() float64 { return stats.Mean(r.FG) }
 // LocalMean returns local toggling's mean slowdown.
 func (r LocalVsFGResult) LocalMean() float64 { return stats.Mean(r.Local) }
 
-// LocalVsFG runs stand-alone PI fetch gating against local toggling across
-// the suite, both policies as one batch on the worker pool.
-func LocalVsFG(ctx context.Context, r *Runner) (LocalVsFGResult, error) {
-	cfg := r.opts.Config
-	var out LocalVsFGResult
-	for _, b := range r.opts.Benchmarks {
+// LocalVsFG declares stand-alone PI fetch gating against local toggling
+// across the suite: one row per policy.
+func (p *Plan) LocalVsFG() *LocalVsFGResult {
+	cfg := p.r.opts.Config
+	p.row(cfg, FGPolicy(cfg))
+	p.row(cfg, LocalTogglingPolicy(cfg))
+	out := &LocalVsFGResult{}
+	for _, b := range p.r.opts.Benchmarks {
 		out.Benchmarks = append(out.Benchmarks, b.Name)
 	}
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, 2*nb)
-	for _, f := range []PolicyFactory{FGPolicy(cfg), LocalTogglingPolicy(cfg)} {
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: f})
-		}
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return LocalVsFGResult{}, err
-	}
-	fg, local := ms[:nb], ms[nb:]
-	out.FG = Slowdowns(fg)
-	out.Local = Slowdowns(local)
-	out.FGViolations = AnyViolation(fg)
-	out.LocalViolations = AnyViolation(local)
-	return out, nil
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		out.FG, out.Local = Slowdowns(rows[0]), Slowdowns(rows[1])
+		out.FGViolations, out.LocalViolations = AnyViolation(rows[0]), AnyViolation(rows[1])
+		return nil
+	})
+	return out
 }
 
 // String renders the comparison.

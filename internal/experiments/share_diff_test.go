@@ -34,37 +34,25 @@ func TestSharedRunsMatchSolo(t *testing.T) {
 	}
 	opts := quarterOptions(t)
 	cfg := opts.Config
-	r, err := NewRunner(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed := fig4Jobs(opts, true)[:6]
+	mixed := fig4Jobs(t, opts, true)[:6]
 	for i := range mixed {
 		if i%2 == 1 {
 			mixed[i].Config.ThermalStepCycles = cfg.ThermalStepCycles / 2
 		}
 	}
-	profiled := fig4Jobs(opts, true)[:6]
+	profiled := fig4Jobs(t, opts, true)[:6]
 	profiled[1].Config.Profiler = obs.NewStageProfiler()
 	profiled[4].Config.Profiler = obs.NewStageProfiler()
-	var fig3a []Job
-	stall := cfg
-	stall.DVSStall = true
-	for _, duty := range DutyCycleAxis {
-		for _, b := range opts.Benchmarks {
-			fig3a = append(fig3a, Job{Config: stall, Profile: b, Factory: pihybAtDuty(stall, duty)})
-		}
-	}
 	// The two largest batches run at one worker count each.
 	batches := []struct {
 		name    string
 		jobs    []Job
 		workers []int
 	}{
-		{"fig4-stall", fig4Jobs(opts, true), []int{1, 2, 4}},
-		{"fig4-ideal", fig4Jobs(opts, false), []int{1, 2, 4}},
-		{"fig3a", fig3a, []int{2}},
-		{"crossover", crossoverJobs(r), []int{4}},
+		{"fig4-stall", fig4Jobs(t, opts, true), []int{1, 2, 4}},
+		{"fig4-ideal", fig4Jobs(t, opts, false), []int{1, 2, 4}},
+		{"fig3a", planJobs(t, opts, func(p *Plan) { p.Fig3a(true) }), []int{2}},
+		{"crossover", planJobs(t, opts, func(p *Plan) { p.CrossoverInvariance() }), []int{4}},
 		{"mixed-step", mixed, []int{1, 2, 4}},
 		{"profiler", profiled, []int{1, 2, 4}},
 	}

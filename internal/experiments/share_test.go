@@ -56,14 +56,10 @@ func TestFig4ForkedMatchesDirect(t *testing.T) {
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Fig4 at 2 workers differs from 1:\n%+v\n%+v", parallel, serial)
 	}
-	cfg := opts.Config
-	cfg.DVSStall = true
-	for _, f := range []PolicyFactory{FGPolicy(cfg), DVSPolicy(cfg), PIHybPolicy(cfg, true), HybPolicy(cfg, true)} {
-		for i, b := range opts.Benchmarks {
-			want := direct(t, opts, Job{Config: cfg, Profile: b, Factory: f})
-			if got := serial.Policies[f.Name][i]; got != want {
-				t.Errorf("%s/%s: forked slowdown %v, direct %v", b.Name, f.Name, got, want)
-			}
+	for k, job := range fig4Jobs(t, opts, true) {
+		i := k % len(opts.Benchmarks)
+		if got, want := serial.Policies[job.Factory.Name][i], direct(t, opts, job); got != want {
+			t.Errorf("%s/%s: forked slowdown %v, direct %v", job.Profile.Name, job.Factory.Name, got, want)
 		}
 	}
 }
@@ -83,24 +79,37 @@ func TestFig3aForkedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Fig3a(context.Background(), r, true)
-		if err != nil {
+		p := NewPlan(r)
+		res := p.Fig3a(true)
+		if err := p.Run(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return *res
 	}
 	serial, parallel := fig3a(1), fig3a(2)
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("Fig3a at 2 workers differs from 1:\n%+v\n%+v", parallel, serial)
 	}
-	cfg := opts.Config
-	cfg.DVSStall = true
-	for i, duty := range DutyCycleAxis {
-		want := direct(t, opts, Job{Config: cfg, Profile: opts.Benchmarks[0], Factory: pihybAtDuty(cfg, duty)})
-		if got := serial.Rows[i].MeanSlowdown; got != want {
-			t.Errorf("duty %g: forked slowdown %v, direct %v", duty, got, want)
+	for i, job := range planJobs(t, opts, func(p *Plan) { p.Fig3a(true) }) {
+		if got, want := serial.Rows[i].MeanSlowdown, direct(t, opts, job); got != want {
+			t.Errorf("duty %g: forked slowdown %v, direct %v", DutyCycleAxis[i], got, want)
 		}
 	}
+}
+
+// planJobs is the batch a plan declared by declare would run.
+func planJobs(t *testing.T, opts Options, declare func(*Plan)) []Job {
+	t.Helper()
+	r, err := NewRunner(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPlan(r)
+	declare(p)
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	return p.jobs()
 }
 
 // pendingBaselines counts baseline cache entries still in flight.
@@ -207,16 +216,9 @@ func quarterOptions(t *testing.T) Options {
 }
 
 // fig4Jobs is Figure 4's batch for one DVS variant.
-func fig4Jobs(opts Options, stall bool) []Job {
-	cfg := opts.Config
-	cfg.DVSStall = stall
-	var jobs []Job
-	for _, f := range []PolicyFactory{FGPolicy(cfg), DVSPolicy(cfg), PIHybPolicy(cfg, stall), HybPolicy(cfg, stall)} {
-		for _, b := range opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: f})
-		}
-	}
-	return jobs
+func fig4Jobs(t *testing.T, opts Options, stall bool) []Job {
+	t.Helper()
+	return planJobs(t, opts, func(p *Plan) { p.Fig4(stall) })
 }
 
 // solo measures every job on its own, with plain core.New and RunContext
@@ -279,7 +281,7 @@ func TestTracedJobsRunAlone(t *testing.T) {
 		}
 		return out, bufs, sinks
 	}
-	jobs := fig4Jobs(opts, true)
+	jobs := fig4Jobs(t, opts, true)
 	soloJobs, soloBufs, _ := traced(jobs)
 	want := solo(t, opts, soloJobs)
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"hybriddtm/internal/dtm"
 	"hybriddtm/internal/dvfs"
 	"hybriddtm/internal/stats"
 )
@@ -36,55 +35,34 @@ func (s StepSizeResult) MaxSpread() float64 {
 	return hi - lo
 }
 
-// StepSizeStudy regenerates the §4.1 step-size comparison for one DVS
-// variant. The ladder × benchmark grid runs as one batch on the worker
-// pool; each ladder row carries its own config (the simulator must expose
-// the same operating points the policy requests).
-func StepSizeStudy(ctx context.Context, r *Runner, stall bool) (StepSizeResult, error) {
-	cfg := r.opts.Config
+// StepSizeStudy declares the §4.1 step-size comparison for one DVS
+// variant: one row per ladder. Binary DVS runs on the default (binary)
+// ladder; every other row's dvs-pi installs its own ladder into the row's
+// config, so the simulator exposes the operating points the policy
+// requests.
+func (p *Plan) StepSizeStudy(stall bool) *StepSizeResult {
+	cfg := p.r.opts.Config
 	cfg.DVSStall = stall
-	out := StepSizeResult{
+	for _, n := range StepSizeLadders {
+		scheme := "dvs-pi"
+		if n == 2 {
+			scheme = "dvs"
+		}
+		p.scheme(cfg, scheme, 0, n, fmt.Sprintf("DVS-%dstep", n))
+	}
+	out := &StepSizeResult{
 		Stall:        stall,
 		MeanSlowdown: make(map[int]float64),
 		Violations:   make(map[int]bool),
 	}
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, len(StepSizeLadders)*nb)
-	for _, n := range StepSizeLadders {
-		steps := n
-		ladder, err := dvfs.NewLadder(cfg.Tech, steps, cfg.VMinFrac)
-		if err != nil {
-			return StepSizeResult{}, err
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		for i, n := range StepSizeLadders {
+			out.MeanSlowdown[n] = stats.Mean(Slowdowns(rows[i]))
+			out.Violations[n] = AnyViolation(rows[i])
 		}
-		factory := PolicyFactory{
-			Name: fmt.Sprintf("DVS-%dstep", steps),
-			New: func() (dtm.Policy, error) {
-				l, err := dvfs.NewLadder(cfg.Tech, steps, cfg.VMinFrac)
-				if err != nil {
-					return nil, err
-				}
-				if steps == 2 {
-					return dtm.DVSBinary(cfg.Trigger, l)
-				}
-				return dtm.DVSPI(cfg.Trigger, l)
-			},
-		}
-		runCfg := cfg
-		runCfg.Ladder = ladder
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: runCfg, Profile: b, Factory: factory})
-		}
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return StepSizeResult{}, err
-	}
-	for i, n := range StepSizeLadders {
-		row := ms[i*nb : (i+1)*nb]
-		out.MeanSlowdown[n] = stats.Mean(Slowdowns(row))
-		out.Violations[n] = AnyViolation(row)
-	}
-	return out, nil
+		return nil
+	})
+	return out
 }
 
 // String renders the study.
@@ -133,33 +111,27 @@ func (v VoltageFloorResult) Floor() float64 {
 	return best
 }
 
-// VoltageFloor regenerates the low-voltage search with binary DVS-stall.
-// All fraction × benchmark simulations run as one batch.
-func VoltageFloor(ctx context.Context, r *Runner) (VoltageFloorResult, error) {
-	out := VoltageFloorResult{
+// VoltageFloor declares the low-voltage search with binary DVS-stall: one
+// row per low-voltage fraction.
+func (p *Plan) VoltageFloor() *VoltageFloorResult {
+	for _, frac := range VoltageFloorFracs {
+		cfg := p.r.opts.Config
+		cfg.DVSStall = true
+		cfg.VMinFrac = frac
+		p.row(cfg, DVSPolicy(cfg))
+	}
+	out := &VoltageFloorResult{
 		ViolationFree: make(map[float64]bool),
 		MeanSlowdown:  make(map[float64]float64),
 	}
-	nb := len(r.opts.Benchmarks)
-	jobs := make([]Job, 0, len(VoltageFloorFracs)*nb)
-	for _, frac := range VoltageFloorFracs {
-		cfg := r.opts.Config
-		cfg.DVSStall = true
-		cfg.VMinFrac = frac
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: DVSPolicy(cfg)})
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		for i, frac := range VoltageFloorFracs {
+			out.ViolationFree[frac] = !AnyViolation(rows[i])
+			out.MeanSlowdown[frac] = stats.Mean(Slowdowns(rows[i]))
 		}
-	}
-	ms, err := r.RunJobs(ctx, jobs)
-	if err != nil {
-		return VoltageFloorResult{}, err
-	}
-	for i, frac := range VoltageFloorFracs {
-		row := ms[i*nb : (i+1)*nb]
-		out.ViolationFree[frac] = !AnyViolation(row)
-		out.MeanSlowdown[frac] = stats.Mean(Slowdowns(row))
-	}
-	return out, nil
+		return nil
+	})
+	return out
 }
 
 // String renders the study.
@@ -188,35 +160,39 @@ type CharacteriseRow struct {
 	Violates         bool
 }
 
-// Characterise regenerates the §3 benchmark characterization: the nine
+// Characterise declares the §3 benchmark characterization: the nine
 // hottest SPEC programs, all spending most of their time above the trigger,
-// with the integer register file the hottest unit. The baselines run as one
-// batch on the worker pool and land in the shared cache.
-func Characterise(ctx context.Context, r *Runner) ([]CharacteriseRow, error) {
-	if _, _, err := r.runJobs(ctx, nil, r.opts.Benchmarks); err != nil {
-		return nil, err
-	}
-	rows := make([]CharacteriseRow, len(r.opts.Benchmarks))
-	for i, b := range r.opts.Benchmarks {
-		res, err := r.BaselineContext(ctx, b)
-		if err != nil {
-			return nil, err
+// with the integer register file the hottest unit. It adds no rows; its
+// rows are the baselines, which the batch computes and caches.
+func (p *Plan) Characterise() *CharacteriseRows {
+	p.bases = true
+	out := &CharacteriseRows{}
+	p.fold(func(ctx context.Context, _ [][]Measurement) error {
+		for _, b := range p.r.opts.Benchmarks {
+			res, err := p.r.BaselineContext(ctx, b)
+			if err != nil {
+				return err
+			}
+			*out = append(*out, CharacteriseRow{
+				Benchmark:        b.Name,
+				IPC:              res.AvgIPC,
+				AvgPower:         res.AvgPower,
+				MaxTemp:          res.MaxTemp,
+				HottestBlock:     res.HottestBlock,
+				FracAboveTrigger: res.TimeAboveTrigger / res.WallTime,
+				Violates:         res.Violated(),
+			})
 		}
-		rows[i] = CharacteriseRow{
-			Benchmark:        b.Name,
-			IPC:              res.AvgIPC,
-			AvgPower:         res.AvgPower,
-			MaxTemp:          res.MaxTemp,
-			HottestBlock:     res.HottestBlock,
-			FracAboveTrigger: res.TimeAboveTrigger / res.WallTime,
-			Violates:         res.Violated(),
-		}
-	}
-	return rows, nil
+		return nil
+	})
+	return out
 }
 
-// FormatCharacterise renders the characterization table.
-func FormatCharacterise(rows []CharacteriseRow) string {
+// CharacteriseRows is the §3 characterization, one row per benchmark.
+type CharacteriseRows []CharacteriseRow
+
+// String renders the characterization table.
+func (rows CharacteriseRows) String() string {
 	var b strings.Builder
 	fmt.Fprintln(&b, "Benchmark characterization (no DTM)")
 	fmt.Fprintf(&b, "%-9s %6s %8s %8s %9s %8s %s\n",
@@ -250,92 +226,53 @@ var CrossoverDuties = []float64{20, 5, 3, 2}
 // over.
 var CrossoverVMins = []float64{0.90, 0.85, 0.80}
 
-// CrossoverInvariance regenerates the §5.1 invariance study. The whole
-// (vmin × duty × benchmark) grid — plus the feedback-free Hyb sweep — is
-// submitted as one batch; rows with violations are excluded from the
-// best-duty search, exactly as in the serial implementation.
-func CrossoverInvariance(ctx context.Context, r *Runner) (CrossoverInvarianceResult, error) {
-	nb := len(r.opts.Benchmarks)
-	ms, err := r.RunJobs(ctx, crossoverJobs(r))
-	if err != nil {
-		return CrossoverInvarianceResult{}, err
-	}
-	// bestDuty scans consecutive duty rows starting at measurement offset
-	// `at`, skipping rows with violations, and returns the duty with the
-	// lowest mean slowdown (0 if every row violates).
-	bestDuty := func(at int) float64 {
-		var slows, duties []float64
-		for i, duty := range CrossoverDuties {
-			row := ms[at+i*nb : at+(i+1)*nb]
-			if AnyViolation(row) {
-				continue
-			}
-			slows = append(slows, stats.Mean(Slowdowns(row)))
-			duties = append(duties, duty)
-		}
-		if len(slows) == 0 {
-			return 0
-		}
-		return duties[ArgMin(slows)]
-	}
-
-	out := CrossoverInvarianceResult{BestDutyPerVMin: make(map[float64]float64)}
-	perVMin := len(CrossoverDuties) * nb
-	for vi, vmin := range CrossoverVMins {
-		if d := bestDuty(vi * perVMin); !stats.SameFloat(d, 0) {
-			out.BestDutyPerVMin[vmin] = d
-		}
-	}
-	out.BestDutyHyb = bestDuty(len(CrossoverVMins) * perVMin)
-	return out, nil
-}
-
-// crossoverJobs is the invariance study's batch: the PI-Hyb rows, one per
-// (vmin, duty) pair, then the Hyb rows, one per duty.
-func crossoverJobs(r *Runner) []Job {
-	var jobs []Job
-	// PI-Hyb rows: one per (vmin, duty) pair.
+// CrossoverInvariance declares the §5.1 invariance study: one PI-Hyb row
+// per (vmin, duty) pair, then one feedback-free Hyb row per duty at the
+// default low voltage. Rows with violations are excluded from the
+// best-duty search.
+func (p *Plan) CrossoverInvariance() *CrossoverInvarianceResult {
 	for _, vmin := range CrossoverVMins {
-		cfg := r.opts.Config
+		cfg := p.r.opts.Config
 		cfg.DVSStall = true
 		cfg.VMinFrac = vmin
 		for _, duty := range CrossoverDuties {
-			gate := 1 / duty
-			factory := PolicyFactory{
-				Name: fmt.Sprintf("PI-Hyb(d=%g,v=%g)", duty, vmin),
-				New: func() (dtm.Policy, error) {
-					ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-					if err != nil {
-						return nil, err
-					}
-					return dtm.PIHyb(cfg.Trigger, dtm.DefaultFGGain, gate, ladder)
-				},
-			}
-			for _, b := range r.opts.Benchmarks {
-				jobs = append(jobs, Job{Config: cfg, Profile: b, Factory: factory})
-			}
+			p.scheme(cfg, "pi-hyb", 1/duty, 0, fmt.Sprintf("PI-Hyb(d=%g,v=%g)", duty, vmin))
 		}
 	}
-	// Hyb rows at the default low voltage: one per duty.
-	hybCfg := r.opts.Config
+	hybCfg := p.r.opts.Config
 	hybCfg.DVSStall = true
 	for _, duty := range CrossoverDuties {
-		gate := 1 / duty
-		factory := PolicyFactory{
-			Name: fmt.Sprintf("Hyb(d=%g)", duty),
-			New: func() (dtm.Policy, error) {
-				ladder, err := dvfs.Binary(hybCfg.Tech, hybCfg.VMinFrac)
-				if err != nil {
-					return nil, err
-				}
-				return dtm.Hyb(hybCfg.Trigger, HybDelta, gate, ladder)
-			},
-		}
-		for _, b := range r.opts.Benchmarks {
-			jobs = append(jobs, Job{Config: hybCfg, Profile: b, Factory: factory})
-		}
+		p.scheme(hybCfg, "hyb", 1/duty, 0, fmt.Sprintf("Hyb(d=%g)", duty))
 	}
-	return jobs
+	out := &CrossoverInvarianceResult{BestDutyPerVMin: make(map[float64]float64)}
+	p.fold(func(_ context.Context, rows [][]Measurement) error {
+		// bestDuty returns the duty of the violation-free row with the
+		// lowest mean slowdown among one sweep's duty rows (0 if every row
+		// violates).
+		bestDuty := func(sweep [][]Measurement) float64 {
+			var slows, duties []float64
+			for i, duty := range CrossoverDuties {
+				if AnyViolation(sweep[i]) {
+					continue
+				}
+				slows = append(slows, stats.Mean(Slowdowns(sweep[i])))
+				duties = append(duties, duty)
+			}
+			if len(slows) == 0 {
+				return 0
+			}
+			return duties[ArgMin(slows)]
+		}
+		nd := len(CrossoverDuties)
+		for vi, vmin := range CrossoverVMins {
+			if d := bestDuty(rows[vi*nd : (vi+1)*nd]); !stats.SameFloat(d, 0) {
+				out.BestDutyPerVMin[vmin] = d
+			}
+		}
+		out.BestDutyHyb = bestDuty(rows[len(CrossoverVMins)*nd:])
+		return nil
+	})
+	return out
 }
 
 // String renders the study.
