@@ -232,71 +232,6 @@ func BenchmarkSuiteWorkers4(b *testing.B) { benchSuiteWorkers(b, 4) }
 
 // --- Ablation benches (design choices called out in DESIGN.md) ----------
 
-// BenchmarkAblationFetchQueue shows the fetch-gating knee depends on
-// front-end buffering: with a deep fetch queue, mild gating is hidden by
-// ILP; with a minimal queue the same gating costs measurably more.
-func BenchmarkAblationFetchQueue(b *testing.B) {
-	prof, _ := trace.ByName("gzip")
-	for i := 0; i < b.N; i++ {
-		ipcLoss := func(ifq int) float64 {
-			cfg := cpu.DefaultConfig()
-			cfg.IFQSize = ifq
-			run := func(gate float64) float64 {
-				gen, err := trace.NewGenerator(prof)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := cpu.New(cfg, gen)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := c.Run(500_000, 0, nil); err != nil {
-					b.Fatal(err)
-				}
-				var act cpu.Activity
-				if _, err := c.Run(500_000, gate, &act); err != nil {
-					b.Fatal(err)
-				}
-				return act.IPC()
-			}
-			return 1 - run(0.05)/run(0)
-		}
-		b.ReportMetric(100*ipcLoss(16), "deepIFQloss%")
-		b.ReportMetric(100*ipcLoss(2), "shallowIFQloss%")
-	}
-}
-
-// BenchmarkAblationThermalStep verifies the paper's 10 000-cycle thermal
-// step: against a 10× finer reference the temperature error stays far
-// below 0.1 °C.
-func BenchmarkAblationThermalStep(b *testing.B) {
-	fp := floorplan.EV6()
-	for i := 0; i < b.N; i++ {
-		run := func(stepCycles float64) float64 {
-			m, err := hotspot.NewModel(fp, hotspot.DefaultPackage())
-			if err != nil {
-				b.Fatal(err)
-			}
-			p := make([]float64, fp.NumBlocks())
-			for j := range p {
-				p[j] = 30 * fp.Block(j).Rect.Area() / fp.BlockArea()
-			}
-			m.InitUniform(60)
-			dt := stepCycles / 3e9
-			for t := 0.0; t < 5e-3; t += dt {
-				if err := m.Step(p, dt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			_, maxT := m.MaxBlockTemp()
-			return maxT
-		}
-		coarse := run(10_000)
-		fine := run(1_000)
-		b.ReportMetric(coarse-fine, "stepErrC")
-	}
-}
-
 // BenchmarkAblationLeakage quantifies the temperature contribution of the
 // leakage/temperature feedback loop by disabling it.
 func BenchmarkAblationLeakage(b *testing.B) {

@@ -14,15 +14,15 @@
 // per CPU) and a slowdown table is printed; results are identical for any
 // worker count.
 //
-// Observability: -trace-out writes the run's event stream (JSON Lines, or
-// CSV when the path ends in .csv; single-benchmark runs only), -out writes
-// machine-readable results JSON for dtmreport, -stage-profile writes
-// per-stage time/alloc attribution of the coupled loop (stageprofile.json,
-// rendered by dtmreport; single-benchmark runs only), -metrics prints aggregate
-// counters to stderr, -v/-quiet adjust logging, and
-// -cpuprofile/-memprofile/-runtime-metrics capture profiles. Any
-// invocation with an output flag also writes a provenance manifest.json
-// beside its first artifact (tool, argv, config hash, environment).
+// Observability: -trace-out writes the run's event stream (JSON Lines;
+// single-benchmark runs only), -out writes machine-readable results JSON
+// for dtmreport, -stage-profile writes per-stage time attribution of the
+// coupled loop (stageprofile.json, rendered by dtmreport; single-benchmark
+// runs only), -metrics prints aggregate counters to stderr, -v/-quiet
+// adjust logging, and -cpuprofile/-memprofile/-runtime-metrics capture
+// profiles. Any invocation with an output flag also writes a provenance
+// manifest.json beside its first artifact (tool, argv, config hash,
+// environment).
 package main
 
 import (
@@ -61,9 +61,9 @@ func run(ctx context.Context) error {
 	vmin := flag.Float64("vmin", 0.85, "DVS low voltage as a fraction of nominal")
 	steps := flag.Int("steps", 5, "DVS ladder steps for dvs-pi")
 	workers := flag.Int("workers", 0, "concurrent simulations for multi-benchmark runs (0 = one per CPU)")
-	traceOut := flag.String("trace-out", "", "write the event trace to this file (JSONL; .csv extension switches format; single benchmark only)")
+	traceOut := flag.String("trace-out", "", "write the event trace to this file (JSONL; single benchmark only)")
 	out := flag.String("out", "", "write machine-readable results JSON to this file (input for dtmreport)")
-	stageProfile := flag.String("stage-profile", "", "write per-stage time/alloc attribution JSON to this file (single benchmark only)")
+	stageProfile := flag.String("stage-profile", "", "write per-stage time attribution JSON to this file (single benchmark only)")
 	metrics := flag.Bool("metrics", false, "print aggregate simulation metrics to stderr at exit")
 	verbose := flag.Bool("v", false, "debug logging: one line per completed simulation")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
@@ -165,25 +165,16 @@ func logger(verbose, quiet bool) *slog.Logger {
 	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 }
 
-// openTraceSink opens path and builds the matching sink: CSV for .csv,
-// JSON Lines otherwise. The returned close function reports deferred
-// serialization errors.
+// openTraceSink opens path for a JSON Lines trace. The returned close
+// function reports deferred serialization errors.
 func openTraceSink(path string) (obs.Tracer, func() error, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	var sink obs.Tracer
-	errOf := func() error { return nil }
-	if strings.HasSuffix(path, ".csv") {
-		s := obs.NewCSV(f)
-		sink, errOf = s, s.Err
-	} else {
-		s := obs.NewJSONL(f)
-		sink, errOf = s, s.Err
-	}
+	sink := obs.NewJSONL(f)
 	closeFn := func() error {
-		if err := errOf(); err != nil {
+		if err := sink.Err(); err != nil {
 			f.Close()
 			return fmt.Errorf("trace-out: %w", err)
 		}

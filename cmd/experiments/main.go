@@ -22,14 +22,14 @@
 // level; -v adds a Debug line per simulation, -quiet silences both. A
 // metrics summary (runs, thermal steps, DVS switches, trigger residency,
 // job latency) is printed to stderr at exit; -metrics-addr serves the
-// same registry over HTTP while the sweep runs (shut down gracefully on
-// exit or Ctrl-C). -cpuprofile/-memprofile/-runtime-metrics capture
-// profiles. -out writes machine-readable figure results for dtmreport,
-// -snapshot-out records a BENCH_<sha>.json performance snapshot,
-// -stage-profile writes per-stage coupled-loop attribution from a
-// dedicated profiled run (stage fractions also folded into the snapshot),
-// and any of these flags also writes a provenance manifest.json beside
-// the artifact.
+// same registry over HTTP while the sweep runs, as text at /metrics and
+// Prometheus at /metrics.prom (shut down gracefully on exit or Ctrl-C).
+// -cpuprofile/-memprofile/-runtime-metrics capture profiles. -out writes
+// machine-readable figure results for dtmreport, -snapshot-out records a
+// BENCH_<sha>.json performance snapshot, -stage-profile writes per-stage
+// coupled-loop time attribution from a dedicated profiled run (stage
+// fractions also folded into the snapshot), and any of these flags also
+// writes a provenance manifest.json beside the artifact.
 package main
 
 import (

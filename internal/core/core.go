@@ -83,9 +83,8 @@ type Config struct {
 	// one (share a metrics Registry via per-run MetricsTracers instead).
 	Tracer obs.Tracer
 
-	// Profiler, when non-nil, attributes coupled-loop wall time,
-	// invocation counts and allocation deltas to named stages (see
-	// obs.StageProfiler). Like Tracer it is hoisted into a local and
+	// Profiler, when non-nil, attributes coupled-loop wall time and
+	// invocation counts to named stages (see obs.StageProfiler). Like Tracer it is hoisted into a local and
 	// every call site sits behind one `if sp != nil` branch, so the nil
 	// case stays allocation-free and within ~1% of baseline (gated by
 	// the root BenchmarkStageProfiler* pair). A StageProfiler belongs to

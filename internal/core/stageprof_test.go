@@ -27,7 +27,7 @@ func stageProfConfig() Config {
 }
 
 // TestGoldenStageProfile locks the stageprofile.json schema: under an
-// injected stepping clock and allocation counter, a short deterministic
+// injected stepping clock, a short deterministic
 // bzip2/Hyb run must produce a byte-identical document. Run with -update
 // after an intentional schema change (and bump
 // obs.StageProfileSchemaVersion if the change is breaking).
@@ -39,14 +39,10 @@ func TestGoldenStageProfile(t *testing.T) {
 	}
 
 	sp := obs.NewStageProfiler()
-	// Each clock read advances 1 ns and each allocation read advances 1
-	// object, so the document is a pure function of the call sequence.
+	// Each clock read advances 1 ns, so the document is a pure function
+	// of the call sequence.
 	var now int64
-	var allocs uint64
-	sp.SetHooks(
-		func() int64 { now++; return now },
-		func() uint64 { allocs++; return allocs },
-	)
+	sp.SetHooks(func() int64 { now++; return now })
 	cfg.Profiler = sp
 	ct := &countTracer{t: t, counts: make(map[obs.Kind]int)}
 	cfg.Tracer = ct
@@ -161,7 +157,7 @@ func TestStageProfilerOverhead(t *testing.T) {
 }
 
 // TestStageProfileRealClock smoke-tests the production configuration (real
-// monotonic clock, runtime/metrics allocation reader, pprof labels) and
+// monotonic clock, pprof labels) and
 // the invariants that the profile fits inside the run it timed and that
 // fractions are shares of real attributed time.
 func TestStageProfileRealClock(t *testing.T) {

@@ -154,9 +154,9 @@ func TestTracerEndOnError(t *testing.T) {
 	}
 }
 
-// TestGoldenTrace locks the JSONL and CSV schemas: a short deterministic
+// TestGoldenTrace locks the JSONL schema: a short deterministic
 // bzip2/Hyb run must serialize byte-identically to the checked-in
-// fixtures. Run with -update after an intentional schema change (and bump
+// fixture. Run with -update after an intentional schema change (and bump
 // obs.SchemaVersion if the change is breaking).
 func TestGoldenTrace(t *testing.T) {
 	cfg := traceConfig()
@@ -175,10 +175,9 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatal("bzip2 profile missing")
 	}
 
-	var jsonlBuf, csvBuf bytes.Buffer
+	var jsonlBuf bytes.Buffer
 	jsonl := obs.NewJSONL(&jsonlBuf)
-	csvSink := obs.NewCSV(&csvBuf)
-	cfg.Tracer = obs.Combine(jsonl, csvSink)
+	cfg.Tracer = jsonl
 	sim, err := New(cfg, prof, hybPolicy(t, cfg))
 	if err != nil {
 		t.Fatal(err)
@@ -187,9 +186,6 @@ func TestGoldenTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := jsonl.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := csvSink.Err(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,30 +210,22 @@ func TestGoldenTrace(t *testing.T) {
 		}
 	}
 
-	for _, f := range []struct {
-		name string
-		got  []byte
-	}{
-		{"trace_bzip2_hyb.jsonl", jsonlBuf.Bytes()},
-		{"trace_bzip2_hyb.csv", csvBuf.Bytes()},
-	} {
-		path := filepath.Join("testdata", f.name)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, f.got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
+	path := filepath.Join("testdata", "trace_bzip2_hyb.jsonl")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
+		if err := os.WriteFile(path, jsonlBuf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(f.got, want) {
-			t.Errorf("%s drifted from golden fixture (%d vs %d bytes); if the schema change is intentional rerun with -update and bump obs.SchemaVersion for breaking changes",
-				f.name, len(f.got), len(want))
-		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(jsonlBuf.Bytes(), want) {
+		t.Errorf("%s drifted from golden fixture (%d vs %d bytes); if the schema change is intentional rerun with -update and bump obs.SchemaVersion for breaking changes",
+			path, jsonlBuf.Len(), len(want))
 	}
 }

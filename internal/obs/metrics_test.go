@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -226,15 +225,17 @@ func TestServeEndpoints(t *testing.T) {
 	if body := get("/metrics"); !strings.Contains(body, MetricRuns) {
 		t.Errorf("/metrics missing %s:\n%s", MetricRuns, body)
 	}
-	var m map[string]float64
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &m); err != nil {
-		t.Fatalf("/metrics.json is not valid JSON: %v", err)
+	if got := parsePrometheus(t, get("/metrics.prom"))[promName(MetricRuns)]; got != 7 {
+		t.Errorf("/metrics.prom %s = %v, want 7", MetricRuns, got)
 	}
-	if m[MetricRuns] != 7 {
-		t.Errorf("/metrics.json %s = %v, want 7", MetricRuns, m[MetricRuns])
+	// Other paths, such as the deleted JSON map, are not the summary.
+	resp, err := http.Get("http://" + addr + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if body := get("/debug/vars"); !strings.Contains(body, "memstats") {
-		t.Error("/debug/vars missing expvar content")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics.json: status %d, want 404", resp.StatusCode)
 	}
 	if err := stop(); err != nil {
 		t.Errorf("stop: %v", err)
@@ -255,23 +256,23 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatalf("Serve returned unusable address %q: %v", addr, err)
 	}
 
-	resp, err := http.Get("http://" + addr + "/metrics.json")
+	resp, err := http.Get("http://" + addr + "/metrics.prom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]float64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("/metrics.json: %v", err)
-	}
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if m[MetricRuns] != 1 {
-		t.Errorf("%s = %v, want 1", MetricRuns, m[MetricRuns])
+	if err != nil {
+		t.Fatalf("/metrics.prom: %v", err)
+	}
+	if got := parsePrometheus(t, string(body))[promName(MetricRuns)]; got != 1 {
+		t.Errorf("%s = %v, want 1", MetricRuns, got)
 	}
 
 	cancel()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := http.Get("http://" + addr + "/metrics.json")
+		_, err := http.Get("http://" + addr + "/metrics.prom")
 		if err != nil {
 			break // listener is down
 		}

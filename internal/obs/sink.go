@@ -1,7 +1,7 @@
-// Trace sinks: streaming JSONL and CSV encoders for the event stream.
-// Both serialize inside Emit, so borrowed slices are never retained, and
-// both buffer writes and surface the first I/O error from Err() rather
-// than failing the simulation mid-run — observability must not be able to
+// Trace sink: the streaming JSONL encoder for the event stream. It
+// serializes inside Emit, so borrowed slices are never retained, and it
+// buffers writes and surfaces the first I/O error from Err() rather than
+// failing the simulation mid-run — observability must not be able to
 // abort the experiment it observes.
 //
 // The JSONL schema is the stable, versioned interface (see DESIGN.md
@@ -9,14 +9,11 @@
 // the run metadata and schema version, every following line is one event
 // keyed by "ev", and the final line is {"ev":"end","events":N}. Numbers
 // are encoded with strconv 'g' formatting, which round-trips float64
-// exactly. The CSV sink is the compact tabular view of the same stream
-// for spreadsheet/plotting tools: fixed columns, per-block temperature
-// and power columns appended after the scalars.
+// exactly.
 package obs
 
 import (
 	"bufio"
-	"encoding/csv"
 	"io"
 	"strconv"
 )
@@ -188,135 +185,6 @@ func (s *JSONL) End() {
 	s.close()
 	s.write()
 	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-}
-
-// CSV streams events as one wide CSV table. Scalar columns come first,
-// then one temperature and one power column per block (step events only;
-// empty otherwise). Create with NewCSV; check Err() after End().
-type CSV struct {
-	w      *csv.Writer
-	meta   Meta
-	row    []string
-	events uint64
-	err    error
-}
-
-// NewCSV returns a CSV sink writing to w.
-func NewCSV(w io.Writer) *CSV {
-	return &CSV{w: csv.NewWriter(w)}
-}
-
-// Err returns the first write error, if any.
-func (s *CSV) Err() error { return s.err }
-
-// Events returns how many event rows were written (header excluded).
-func (s *CSV) Events() uint64 { return s.events }
-
-// csvScalarCols are the fixed leading columns of every row.
-var csvScalarCols = []string{
-	"ev", "t_s", "cycle", "step", "measuring",
-	"dt_s", "level", "gate", "clockstop", "stalled", "stall_s",
-	"max_t_c", "hottest", "max_r_c",
-	"dec_gate", "dec_level", "dec_clockstop",
-	"from_level", "switch", "switch_stalls", "switch_applied",
-	"threshold", "above",
-}
-
-func (s *CSV) writeRow() {
-	if s.err != nil {
-		return
-	}
-	if err := s.w.Write(s.row); err != nil {
-		s.err = err
-	}
-}
-
-// Begin writes the header row.
-func (s *CSV) Begin(meta Meta) {
-	s.meta = meta
-	s.row = s.row[:0]
-	s.row = append(s.row, csvScalarCols...)
-	for _, b := range meta.Blocks {
-		s.row = append(s.row, "temp_"+b)
-	}
-	for _, b := range meta.Blocks {
-		s.row = append(s.row, "power_"+b)
-	}
-	s.writeRow()
-}
-
-func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-func fint(v int64) string   { return strconv.FormatInt(v, 10) }
-func fbool(v bool) string   { return strconv.FormatBool(v) }
-
-// Emit serializes one event row.
-func (s *CSV) Emit(ev *Event) {
-	s.events++
-	n := len(csvScalarCols) + 2*len(s.meta.Blocks)
-	if cap(s.row) < n {
-		s.row = make([]string, n)
-	}
-	s.row = s.row[:n]
-	for i := range s.row {
-		s.row[i] = ""
-	}
-	s.row[0] = ev.Kind.String()
-	s.row[1] = fnum(ev.Time)
-	s.row[2] = fint(int64(ev.Cycle))
-	s.row[3] = fint(int64(ev.Step))
-	s.row[4] = fbool(ev.Measuring)
-	switch ev.Kind {
-	case KindStep:
-		s.row[5] = fnum(ev.Dt)
-		s.row[6] = fint(int64(ev.Level))
-		s.row[7] = fnum(ev.GateFrac)
-		s.row[8] = fbool(ev.ClockStop)
-		s.row[9] = fbool(ev.Stalled)
-		s.row[10] = fnum(ev.StallRemaining)
-		s.row[11] = fnum(ev.MaxTemp)
-		if ev.Hottest >= 0 && ev.Hottest < len(s.meta.Blocks) {
-			s.row[12] = s.meta.Blocks[ev.Hottest]
-		}
-		base := len(csvScalarCols)
-		for i, t := range ev.Temps {
-			if base+i < n {
-				s.row[base+i] = fnum(t)
-			}
-		}
-		base += len(s.meta.Blocks)
-		for i, p := range ev.Power {
-			if base+i < n {
-				s.row[base+i] = fnum(p)
-			}
-		}
-	case KindSensor:
-		s.row[13] = fnum(ev.MaxReading)
-	case KindDecision:
-		s.row[14] = fnum(ev.DecGate)
-		s.row[15] = fint(int64(ev.DecLevel))
-		s.row[16] = fbool(ev.DecClockStop)
-	case KindActuation:
-		s.row[7] = fnum(ev.GateFrac)
-		s.row[6] = fint(int64(ev.Level))
-		s.row[8] = fbool(ev.ClockStop)
-		s.row[17] = fint(int64(ev.FromLevel))
-		s.row[18] = fbool(ev.SwitchStarted)
-		s.row[19] = fbool(ev.SwitchStalls)
-		s.row[20] = fbool(ev.SwitchApplied)
-	case KindCrossing:
-		s.row[21] = ev.Threshold
-		s.row[22] = fbool(ev.Above)
-		s.row[11] = fnum(ev.MaxTemp)
-	}
-	s.writeRow()
-}
-
-// End flushes buffered rows.
-func (s *CSV) End() {
-	s.w.Flush()
-	if err := s.w.Error(); err != nil && s.err == nil {
 		s.err = err
 	}
 }

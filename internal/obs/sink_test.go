@@ -2,13 +2,12 @@ package obs
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
 )
 
-// testMeta and testEvents exercise every Kind through both sinks.
+// testMeta and testEvents exercise every Kind through the sink.
 func testMeta() Meta {
 	return Meta{
 		Benchmark:         "bzip2",
@@ -149,61 +148,3 @@ var errWrite = &writeError{}
 type writeError struct{}
 
 func (*writeError) Error() string { return "synthetic write failure" }
-
-func TestCSVStream(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewCSV(&buf)
-	runSink(t, s)
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Events() != 5 {
-		t.Errorf("Events() = %d, want 5", s.Events())
-	}
-
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("output is not valid CSV: %v", err)
-	}
-	if len(rows) != 6 { // header + 5 events
-		t.Fatalf("got %d rows, want 6", len(rows))
-	}
-	header := rows[0]
-	wantCols := len(csvScalarCols) + 2*2
-	if len(header) != wantCols {
-		t.Fatalf("header has %d columns, want %d: %v", len(header), wantCols, header)
-	}
-	col := make(map[string]int, len(header))
-	for i, name := range header {
-		col[name] = i
-	}
-	for _, name := range []string{"ev", "t_s", "max_t_c", "temp_IntReg", "power_IntExec", "threshold"} {
-		if _, ok := col[name]; !ok {
-			t.Fatalf("header missing column %q: %v", name, header)
-		}
-	}
-
-	step := rows[1]
-	if step[col["ev"]] != "step" || step[col["max_t_c"]] != "82.5" || step[col["hottest"]] != "IntReg" {
-		t.Errorf("step row = %v", step)
-	}
-	if step[col["temp_IntReg"]] != "82.5" || step[col["power_IntExec"]] != "1.1" {
-		t.Errorf("per-block columns wrong: %v", step)
-	}
-	if sensor := rows[2]; sensor[col["ev"]] != "sensor" || sensor[col["max_r_c"]] != "82.6" {
-		t.Errorf("sensor row = %v", sensor)
-	}
-	// Non-step rows leave the per-block columns empty.
-	if rows[2][col["temp_IntReg"]] != "" {
-		t.Errorf("sensor row filled a per-block column: %v", rows[2])
-	}
-	if dec := rows[3]; dec[col["dec_gate"]] != "0.25" {
-		t.Errorf("decision row = %v", dec)
-	}
-	if act := rows[4]; act[col["switch"]] != "true" || act[col["from_level"]] != "0" {
-		t.Errorf("actuation row = %v", act)
-	}
-	if cross := rows[5]; cross[col["threshold"]] != "trigger" || cross[col["above"]] != "true" {
-		t.Errorf("crossing row = %v", cross)
-	}
-}

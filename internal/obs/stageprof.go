@@ -1,18 +1,18 @@
-// Stage profiling: per-stage wall-time / invocation / allocation
-// attribution through the coupled simulation loop. A StageProfiler is
-// threaded through core.Simulator's step the same way the Tracer is —
-// hoisted into a local, every call site behind one `if sp != nil` branch
-// (enforced by dtmlint's tracegate analyzer) — so the profiler-off loop
-// keeps its AllocsPerRun==0 contract and stays within ~1% of baseline.
+// Stage profiling: per-stage wall-time / invocation attribution through
+// the coupled simulation loop. A StageProfiler is threaded through
+// core.Simulator's step the same way the Tracer is — hoisted into a
+// local, every call site behind one `if sp != nil` branch (enforced by
+// dtmlint's tracegate analyzer) — so the profiler-off loop keeps its
+// AllocsPerRun==0 contract and stays within ~1% of baseline.
 //
 // Every thermal step is timed: each loop stage is one Begin/End window
-// (two monotonic clock reads and two runtime/metrics allocation reads),
-// the cpu model included as the single cpu.run window around its batch.
-// Windows are disjoint, so the attributed total never exceeds the run's
-// wall time. The cpu model is not split further here; a -cpuprofile
-// does that from real samples. While a window is open the goroutine
-// carries a runtime/pprof label (dtm_stage=<group>), so such a CPU
-// profile can be cut along the same seams; End drops the label again.
+// (two monotonic clock reads), the cpu model included as the single
+// cpu.run window around its batch. Windows are disjoint, so the
+// attributed total never exceeds the run's wall time. The cpu model is
+// not split further here; a -cpuprofile does that from real samples.
+// While a window is open the goroutine carries a runtime/pprof label
+// (dtm_stage=<group>), so such a CPU profile can be cut along the same
+// seams; End drops the label again.
 //
 // The attribution is exported three ways: Publish folds
 // sim.stage.<name>_ns/_frac gauges into a metrics Registry (and thus
@@ -27,7 +27,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime/metrics"
 	"runtime/pprof"
 	"time"
 )
@@ -114,72 +113,54 @@ func StageMetricFrac(name string) string { return MetricStagePrefix + name + "_f
 // run. It is not safe for concurrent use; concurrent runs each get their
 // own profiler (they may Publish into a shared Registry afterwards).
 type StageProfiler struct {
-	mark      int64  // monotonic ns at the last Begin
-	allocMark uint64 // cumulative heap allocs at the last Begin
+	mark int64 // monotonic ns at the last Begin
 
 	counts [numStages]uint64
 	nanos  [numStages]int64
-	allocs [numStages]uint64
 
-	now        func() int64  // monotonic nanoseconds
-	readAllocs func() uint64 // cumulative heap allocation count
+	now func() int64 // monotonic nanoseconds
 
 	labels   bool
 	baseCtx  context.Context
 	stageCtx [numStages]context.Context // baseCtx labelled with the stage's group
-
-	allocSample [1]metrics.Sample
 }
 
 // NewStageProfiler returns a profiler timing every window. The clock is
-// the process monotonic clock and allocation counts come from
-// runtime/metrics; tests needing byte-exact documents inject
-// deterministic sources via SetHooks.
+// the process monotonic clock; tests needing byte-exact documents inject
+// a deterministic one via SetHooks.
 func NewStageProfiler() *StageProfiler {
 	p := &StageProfiler{labels: true, baseCtx: context.Background()}
 	base := time.Now()
 	p.now = func() int64 { return int64(time.Since(base)) }
-	p.allocSample[0].Name = "/gc/heap/allocs:objects"
-	p.readAllocs = func() uint64 {
-		metrics.Read(p.allocSample[:])
-		if p.allocSample[0].Value.Kind() == metrics.KindUint64 {
-			return p.allocSample[0].Value.Uint64()
-		}
-		return 0
-	}
 	for s, g := range stageGroups {
 		p.stageCtx[s] = pprof.WithLabels(p.baseCtx, pprof.Labels("dtm_stage", g))
 	}
 	return p
 }
 
-// SetHooks replaces the monotonic-clock and allocation-count sources.
-// It exists so tests can pin stageprofile.json byte-exactly (a stepping
-// fake clock, a constant allocation counter); production callers never
-// need it. Disables pprof labels, whose only effect is on the real
-// runtime.
-func (p *StageProfiler) SetHooks(now func() int64, readAllocs func() uint64) {
+// SetHooks replaces the monotonic-clock source. It exists so tests can
+// pin stageprofile.json byte-exactly with a stepping fake clock;
+// production callers never need it. Disables pprof labels, whose only
+// effect is on the real runtime.
+func (p *StageProfiler) SetHooks(now func() int64) {
 	p.now = now
-	p.readAllocs = readAllocs
 	p.labels = false
 }
 
-// Begin opens the window for stage s: time mark, allocation mark, and the
-// pprof label for s's group.
+// Begin opens the window for stage s: time mark and the pprof label for
+// s's group.
 func (p *StageProfiler) Begin(s Stage) {
 	if p.labels {
 		pprof.SetGoroutineLabels(p.stageCtx[s])
 	}
 	p.mark = p.now()
-	p.allocMark = p.readAllocs()
 }
 
-// End closes the window opened by Begin, attributing elapsed time and
-// the allocation delta to stage s, and restores the unlabelled context.
+// End closes the window opened by Begin, attributing elapsed time to
+// stage s, and restores the unlabelled context.
 func (p *StageProfiler) End(s Stage) {
 	p.nanos[s] += p.now() - p.mark
 	p.counts[s]++
-	p.allocs[s] += p.readAllocs() - p.allocMark
 	if p.labels {
 		pprof.SetGoroutineLabels(p.baseCtx)
 	}
@@ -190,7 +171,7 @@ func (p *StageProfiler) End(s Stage) {
 const KindStageProfile = "stageprofile"
 
 // StageProfileSchemaVersion identifies the stageprofile.json schema.
-const StageProfileSchemaVersion = 2
+const StageProfileSchemaVersion = 3
 
 // StageRecord is one stage's attribution in a StageProfile document.
 type StageRecord struct {
@@ -199,7 +180,6 @@ type StageRecord struct {
 	Invocations uint64  `json:"invocations"`
 	Nanos       int64   `json:"ns"`
 	Frac        float64 `json:"frac"` // share of attributed loop time
-	Allocs      uint64  `json:"allocs"`
 }
 
 // StageProfile is the deterministic stage-attribution document
@@ -246,7 +226,6 @@ func (p *StageProfiler) Profile(tool, benchmark, policy string) StageProfile {
 			Group:       stageGroups[s],
 			Invocations: p.counts[s],
 			Nanos:       p.nanos[s],
-			Allocs:      p.allocs[s],
 		}
 		if total > 0 {
 			r.Frac = float64(p.nanos[s]) / float64(total)

@@ -9,22 +9,17 @@ import (
 )
 
 // fakeHooks installs a deterministic clock (each read advances by tick
-// nanoseconds) and a deterministic allocation counter (each read advances
-// by allocStep), returning the profiler for chaining.
-func fakeHooks(p *StageProfiler, tick int64, allocStep uint64) *StageProfiler {
+// nanoseconds), returning the profiler for chaining.
+func fakeHooks(p *StageProfiler, tick int64) *StageProfiler {
 	var now int64
-	var allocs uint64
-	p.SetHooks(
-		func() int64 { now += tick; return now },
-		func() uint64 { allocs += allocStep; return allocs },
-	)
+	p.SetHooks(func() int64 { now += tick; return now })
 	return p
 }
 
 func TestStageProfilerAttribution(t *testing.T) {
 	// tick=10: every clock read advances 10 ns, so a Begin..End window
-	// spans exactly 10 ns; allocStep=3 makes each window's delta 3.
-	p := fakeHooks(NewStageProfiler(), 10, 3)
+	// spans exactly 10 ns.
+	p := fakeHooks(NewStageProfiler(), 10)
 	for _, s := range []Stage{StageCPURun, StagePowerCompute, StageThermalStep, StageCPURun} {
 		p.Begin(s)
 		p.End(s)
@@ -47,9 +42,9 @@ func TestStageProfilerAttribution(t *testing.T) {
 		"thermal.step":  1,
 	} {
 		r := byName[name]
-		if r.Invocations != want || r.Nanos != 10*int64(want) || r.Allocs != 3*want {
-			t.Errorf("%s = %d windows, %d ns, %d allocs; want %d windows of 10 ns and 3 allocs",
-				name, r.Invocations, r.Nanos, r.Allocs, want)
+		if r.Invocations != want || r.Nanos != 10*int64(want) {
+			t.Errorf("%s = %d windows, %d ns; want %d windows of 10 ns",
+				name, r.Invocations, r.Nanos, want)
 		}
 	}
 	if doc.AttributedNS != 40 {
@@ -73,7 +68,7 @@ func TestStageProfilerAttribution(t *testing.T) {
 }
 
 func TestStageProfilerPublish(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(), 10, 0)
+	p := fakeHooks(NewStageProfiler(), 10)
 	p.Begin(StageThermalStep)
 	p.End(StageThermalStep)
 	reg := NewRegistry()
@@ -99,7 +94,7 @@ func TestStageProfilerPublish(t *testing.T) {
 }
 
 func TestStageProfileGroupFrac(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(), 10, 0)
+	p := fakeHooks(NewStageProfiler(), 10)
 	p.Begin(StageCPURun)
 	p.End(StageCPURun) // 10 ns cpu
 	p.Begin(StagePowerCompute)
@@ -121,7 +116,7 @@ func TestStageProfileGroupFrac(t *testing.T) {
 }
 
 func TestStageProfileFileRoundTrip(t *testing.T) {
-	p := fakeHooks(NewStageProfiler(), 5, 1)
+	p := fakeHooks(NewStageProfiler(), 5)
 	p.Begin(StageThermalStep)
 	p.End(StageThermalStep)
 	doc := p.Profile("experiments", "gzip", "pi")

@@ -217,7 +217,7 @@ func stageSection(sp obs.StageProfile) section {
 		"%s — %d thermal steps timed, %.3g ms attributed.",
 		sp.Tool, sp.Steps, float64(sp.AttributedNS)/1e6))
 
-	t := table{Head: []string{"stage", "group", "share", "time", "invocations", "allocs"}}
+	t := table{Head: []string{"stage", "group", "share", "time", "invocations"}}
 	for _, rec := range sp.Stages {
 		if rec.Invocations == 0 {
 			continue
@@ -228,7 +228,6 @@ func stageSection(sp obs.StageProfile) section {
 			fmtPct(rec.Frac),
 			fmt.Sprintf("%.3gms", float64(rec.Nanos)/1e6),
 			fmt.Sprintf("%d", rec.Invocations),
-			fmt.Sprintf("%d", rec.Allocs),
 		})
 	}
 	sec.Tables = append(sec.Tables, t)

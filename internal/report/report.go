@@ -267,7 +267,7 @@ type Report struct {
 // later directories append). Files are classified by content: .jsonl as
 // schema-v1 traces, .json by their "kind" field. Unclassifiable files are
 // recorded in Skipped, not errors — report directories often hold other
-// artifacts (CSV traces, profiles).
+// artifacts (pprof profiles, logs).
 func LoadDir(dirs ...string) (*Report, error) {
 	rep := &Report{Dirs: dirs}
 	for _, dir := range dirs {

@@ -55,15 +55,21 @@ func TestLoadDirClassification(t *testing.T) {
 	if !rep.Snapshots[0].Start.Before(rep.Snapshots[1].Start) {
 		t.Error("snapshots not sorted by start time")
 	}
-	// The CSV trace next to the JSONL golden is skipped, not an error.
-	foundCSV := false
-	for _, s := range rep.Skipped {
-		if strings.Contains(s, ".csv") {
-			foundCSV = true
-		}
+	if len(rep.Skipped) != 0 {
+		t.Errorf("golden inputs skipped: %v", rep.Skipped)
 	}
-	if !foundCSV {
-		t.Errorf("CSV sibling not in skipped list: %v", rep.Skipped)
+
+	// Files LoadDir cannot classify are skipped, not errors.
+	stray := t.TempDir()
+	if err := os.WriteFile(filepath.Join(stray, "notes.txt"), []byte("not an artifact\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := LoadDir(stray)
+	if err != nil {
+		t.Fatalf("LoadDir with a stray file: %v", err)
+	}
+	if len(rep.Skipped) != 1 || rep.Skipped[0] != "notes.txt: not a report artifact" {
+		t.Errorf("skipped = %v, want the stray file", rep.Skipped)
 	}
 }
 

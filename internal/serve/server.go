@@ -15,7 +15,7 @@
 //	GET  /v1/dashboard         live HTML dashboard: jobs, occupancy, histograms, thermal timelines
 //	GET  /v1/dashboard/stream  SSE stream of the dashboard state (text/event-stream)
 //	GET  /healthz              liveness + occupancy/uptime (503 while draining)
-//	GET  /metrics              the obs registry (text; /metrics.json for JSON, /metrics.prom for Prometheus)
+//	GET  /metrics              the obs registry (text; /metrics.prom for Prometheus)
 //
 // Backpressure is explicit: the submission queue is bounded, and a full
 // queue sheds load with 429 plus a Retry-After hint rather than growing
@@ -137,6 +137,11 @@ type job struct {
 
 	// spans traces the job's lifecycle stages (nil unless Config.Spans).
 	spans *obs.SpanSet
+	// responded is closed once the submitting handler has recorded the
+	// respond span (nil unless Config.Spans and the job queued). The
+	// worker waits on it before stamping started, so respond always
+	// closes before queue_wait does.
+	responded chan struct{}
 	// ring retains the tail of the run's event stream for the dashboard
 	// (nil unless Config.Spans; evicted FIFO once the job is done).
 	ring *obs.Ring
@@ -315,6 +320,9 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.queueDepth.Add(-1)
+		if j.responded != nil {
+			<-j.responded
+		}
 		s.mu.Lock()
 		// A job can land here after Shutdown flipped draining but before
 		// the drain loop swallowed it; honor the cancel contract.
@@ -604,7 +612,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/dashboard/stream", s.handleDashboardStream)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.reg.Handler())
-	mux.Handle("GET /metrics.json", s.reg.Handler())
 	mux.Handle("GET /metrics.prom", s.reg.Handler())
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		cw := &countingWriter{ResponseWriter: w}
@@ -682,6 +689,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		if j, ok := s.jobs[resp.ID]; ok && j.spans != nil {
 			j.spans.Record("respond", "submit", j.submitted, tResp)
+			if j.responded != nil {
+				close(j.responded)
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -728,6 +738,10 @@ func (s *Server) submit(jc JobConfig, key string, tReq, tVal time.Time) (submitR
 		return submitResponse{ID: j.id, Key: key, State: StateDone, Cached: true}, http.StatusOK, nil
 	}
 	j := s.newJobLocked(jc, key)
+	if !tReq.IsZero() {
+		// Set before the send, which publishes j to the worker.
+		j.responded = make(chan struct{})
+	}
 	select {
 	case s.queue <- j:
 		s.queueDepth.Add(1)

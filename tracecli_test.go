@@ -1,5 +1,5 @@
 // End-to-end trace schema test: build dtmsim, trace a run per policy, and
-// parse the JSONL/CSV output. This is the executable definition of the
+// parse the JSONL output. This is the executable definition of the
 // trace-file contract (obs.SchemaVersion) as seen from outside the
 // process — what CI's observability job and any downstream analysis
 // script rely on.
@@ -8,7 +8,6 @@ package hybriddtm
 import (
 	"bufio"
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
 	"os"
 	"os/exec"
@@ -44,29 +43,6 @@ func TestTraceCLI(t *testing.T) {
 			checkJSONLTrace(t, path, policy)
 		})
 	}
-
-	// CSV variant: extension selects the sink; the file must parse as CSV
-	// with one width for every row.
-	t.Run("csv", func(t *testing.T) {
-		path := filepath.Join(dir, "hyb.csv")
-		cmd := exec.Command(bin, "-bench", "gzip", "-policy", "hyb",
-			"-insts", "200000", "-trace-out", path)
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("dtmsim: %v\n%s", err, out)
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		rows, err := csv.NewReader(f).ReadAll()
-		if err != nil {
-			t.Fatalf("trace is not valid CSV: %v", err)
-		}
-		if len(rows) < 10 {
-			t.Fatalf("suspiciously short CSV trace: %d rows", len(rows))
-		}
-	})
 }
 
 // checkJSONLTrace parses one trace file and asserts the schema contract,
