@@ -22,6 +22,10 @@ func (c Config) validate(name string) error {
 	if c.SizeBytes <= 0 || c.LineBytes <= 0 || c.Ways <= 0 || c.Latency < 0 {
 		return fmt.Errorf("cache: %s: non-positive parameter in %+v", name, c)
 	}
+	// With 1-byte lines every address is a tag, emptyWay's included.
+	if c.LineBytes < 2 {
+		return fmt.Errorf("cache: %s: line size %d below 2 bytes", name, c.LineBytes)
+	}
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache: %s: line size %d not a power of two", name, c.LineBytes)
 	}
@@ -39,21 +43,21 @@ func (c Config) validate(name string) error {
 	return nil
 }
 
-// line is one way. lastUse == 0 marks an invalid way: the LRU clock is
-// incremented before every access, so a filled way never reads 0.
-type line struct {
-	tag     uint64
-	lastUse uint64
-}
+// emptyWay marks a way that holds no block. A tag is a block address,
+// addr >> lineBits with lineBits ≥ 1, so no tag has its top bit set.
+const emptyWay = ^uint64(0)
 
 // Cache is one level of set-associative cache with true LRU replacement.
+// Each way holds its block address only; every set is kept ordered from
+// most- to least-recently used, so the last way is always the victim
+// (empty ways sit at the end, because a set fills from the front and
+// nothing ever invalidates a way).
 type Cache struct {
 	cfg      Config
-	lines    []line // set-major: set s is lines[s*ways : (s+1)*ways]
+	tags     []uint64 // set-major: set s is tags[s*ways : (s+1)*ways]
 	ways     uint64
 	setMask  uint64
 	lineBits uint
-	tick     uint64
 
 	accesses uint64
 	misses   uint64
@@ -69,9 +73,13 @@ func New(name string, cfg Config) (*Cache, error) {
 	for 1<<lb < cfg.LineBytes {
 		lb++
 	}
+	tags := make([]uint64, nSets*cfg.Ways)
+	for i := range tags {
+		tags[i] = emptyWay
+	}
 	return &Cache{
 		cfg:      cfg,
-		lines:    make([]line, nSets*cfg.Ways),
+		tags:     tags,
 		ways:     uint64(cfg.Ways),
 		setMask:  uint64(nSets - 1),
 		lineBits: lb,
@@ -81,42 +89,32 @@ func New(name string, cfg Config) (*Cache, error) {
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Clone returns an independent copy: the same ways, LRU clock and
-// counters.
+// Clone returns an independent copy: the same ways in the same recency
+// order, and the same counters.
 func (c *Cache) Clone() *Cache {
 	cp := *c
-	cp.lines = slices.Clone(c.lines)
+	cp.tags = slices.Clone(c.tags)
 	return &cp
 }
 
-// Access looks up addr, updates LRU state, allocates on miss, and reports
-// whether it hit.
+// Access looks up addr, moves its block to the most-recently-used way
+// (allocating it on a miss, which evicts the least-recently-used way),
+// and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
-	c.tick++
 	c.accesses++
-	blk := addr >> c.lineBits
+	blk := addr >> c.lineBits // the full block address is the tag, so aliasing is impossible
 	base := (blk & c.setMask) * c.ways
-	set := c.lines[base : base+c.ways]
-	tag := blk >> 0 // full block address as tag keeps aliasing impossible
-	for i := range set {
-		if set[i].lastUse != 0 && set[i].tag == tag {
-			set[i].lastUse = c.tick
+	set := c.tags[base : base+c.ways]
+	for i, tag := range set {
+		if tag == blk {
+			copy(set[1:i+1], set[:i])
+			set[0] = blk
 			return true
 		}
 	}
 	c.misses++
-	// Allocate into the invalid or least-recently-used way.
-	victim := 0
-	for i := range set {
-		if set[i].lastUse == 0 {
-			victim = i
-			break
-		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
-		}
-	}
-	set[victim] = line{tag: tag, lastUse: c.tick}
+	copy(set[1:], set)
+	set[0] = blk
 	return false
 }
 

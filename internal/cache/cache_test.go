@@ -21,6 +21,7 @@ func TestConfigValidation(t *testing.T) {
 		{SizeBytes: 1000, LineBytes: 64, Ways: 2, Latency: 1},  // size not multiple
 		{SizeBytes: 1024, LineBytes: 64, Ways: 3, Latency: 1},  // lines not divisible
 		{SizeBytes: 1024, LineBytes: 64, Ways: 2, Latency: -1}, // negative latency
+		{SizeBytes: 1024, LineBytes: 1, Ways: 2, Latency: 1},   // tags would reach emptyWay
 	}
 	for i, cfg := range cases {
 		if _, err := New("bad", cfg); err == nil {

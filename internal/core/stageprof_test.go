@@ -119,22 +119,22 @@ func TestGoldenStageProfile(t *testing.T) {
 	}
 }
 
-// TestStageProfilerOverhead asserts the cost of timing every step:
-// attaching the profiler must cost less than 10% wall time over a
-// profiler-free run. A step opens six or seven windows against thousands
-// of simulated cycles, so the envelope holds with a wide margin;
-// best-of-three timings damp scheduler noise, and the runs alternate
-// between the two sides so that load from other test processes, which
-// changes over seconds, falls on both alike.
+// TestStageProfilerOverhead asserts the cost of timing every step: the
+// windows a profiled run opens must cost less than 10% of a profiler-free
+// run's wall time. Differencing a profiled and an unprofiled run cannot
+// show this on a shared host, where cache interference from other
+// processes moves a whole run by more than the bound. So the cost is
+// measured directly: the windows one profiled run opens (its Profile
+// counts) times the cost of one Begin/End pair with pprof labels on,
+// timed over 10⁵ windows, best of three, against the best of three
+// unprofiled runs.
 func TestStageProfilerOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock timing")
 	}
-	once := func(withProf bool) time.Duration {
+	run := func(sp *obs.StageProfiler) time.Duration {
 		cfg := stageProfConfig()
-		if withProf {
-			cfg.Profiler = obs.NewStageProfiler()
-		}
+		cfg.Profiler = sp
 		sim, err := New(cfg, gzipProfile(t), hybPolicy(t, cfg))
 		if err != nil {
 			t.Fatal(err)
@@ -145,14 +145,37 @@ func TestStageProfilerOverhead(t *testing.T) {
 		}
 		return time.Since(begin)
 	}
-	off, on := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	off := time.Duration(math.MaxInt64)
 	for i := 0; i < 3; i++ {
-		off = min(off, once(false))
-		on = min(on, once(true))
+		off = min(off, run(nil))
 	}
-	if ratio := float64(on) / float64(off); ratio > 1.10 {
-		t.Errorf("profiler-on overhead %.1f%% (off %v, on %v), want < 10%%",
-			(ratio-1)*100, off, on)
+	sp := obs.NewStageProfiler()
+	run(sp)
+	var windows uint64
+	for _, r := range sp.Profile("", "", "").Stages {
+		windows += r.Invocations
+	}
+
+	const pairs = 100_000
+	stages := []obs.Stage{obs.StageCPURun, obs.StagePowerCompute, obs.StageThermalStep,
+		obs.StageSensorSample, obs.StagePolicyDecide, obs.StageDVFSActuate, obs.StageTraceEmit}
+	perWindow := math.Inf(1) // ns
+	for i := 0; i < 3; i++ {
+		p := obs.NewStageProfiler()
+		begin := time.Now()
+		for k := 0; k < pairs; k++ {
+			s := stages[k%len(stages)]
+			p.Begin(s)
+			p.End(s)
+		}
+		perWindow = min(perWindow, float64(time.Since(begin))/pairs)
+	}
+
+	cost := float64(windows) * perWindow
+	t.Logf("%d windows × %.0f ns = %.3g ms against an unprofiled run of %v", windows, perWindow, cost/1e6, off)
+	if frac := cost / float64(off); frac > 0.10 {
+		t.Errorf("profiler overhead %.1f%% (%d windows × %.0f ns, unprofiled run %v), want < 10%%",
+			frac*100, windows, perWindow, off)
 	}
 }
 

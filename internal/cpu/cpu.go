@@ -361,10 +361,13 @@ func New(cfg Config, gen trace.Source) (*Core, error) {
 
 // Clone returns an independent copy of the core in its current state: the
 // ROB and fetch-queue rings, issue queues (with their capacities, so the
-// copy stays allocation-free), MSHRs, predictor tables, cache ways and the
-// trace cursor. Running either core leaves the other unchanged. Only a
-// synthetic trace.Generator can be copied; a core fed by another source
-// (a recorded trace.Reader) returns an error.
+// copy stays allocation-free), MSHRs, predictor tables, cache ways in
+// their recency order and the trace cursor. Running either core leaves
+// the other unchanged. Most of what a copy allocates is the cache model:
+// 512 KiB of L2 tags and 16 KiB of L1 tags, beside 12 KiB of predictor
+// tables (the default configuration). Only a synthetic trace.Generator
+// can be copied; a core fed by another source (a recorded trace.Reader)
+// returns an error.
 func (c *Core) Clone() (*Core, error) {
 	gen, ok := c.gen.(*trace.Generator)
 	if !ok {
