@@ -26,75 +26,44 @@ package cpu
 // TestScalarBatchedEquivalence) and FuzzCoreRun diff these kernels against
 // the cycle-at-a-time reference loop counter-for-counter.
 
-import "hybriddtm/internal/stats"
-
 // runBatched picks the kernel for the gate configuration. Issue-domain
 // gating (local toggling) is a research path measured for the paper's §2
 // comparison only; it takes the reference loop, which ticks every
 // accumulator each cycle.
 func (c *Core) runBatched(n uint64, gates Gates, act *Activity) {
-	switch {
-	case !issueGatesZero(gates):
+	if !issueGatesZero(gates) {
 		c.runScalar(n, gates, act)
-	case stats.SameFloat(gates.Fetch, 0):
-		c.runUngated(n, act)
-	default:
-		c.runFetchGated(n, gates.Fetch, act)
+		return
 	}
+	c.runFast(n, gates.Fetch, act)
 }
 
-// runUngated is the kernel for the common case: no gating anywhere.
-func (c *Core) runUngated(n uint64, act *Activity) {
+// runFast is the kernel for idle issue domains, with or without fetch
+// gating — the configuration every DTM policy produces. The fetch-gate
+// accumulator must advance every cycle (its duty pattern is defined over
+// wall cycles), so idle fast-forward replays the accumulator additions
+// across skipped cycles.
+func (c *Core) runFast(n uint64, frac float64, act *Activity) {
 	end := c.cycle + n
 	for c.cycle < end {
 		c.cycle++
 		h0, t0, i0, f0 := c.head, c.tail, c.issues, act.FetchGroups
-		c.commit(act)
-		if c.cycle >= c.intQ.minReady {
-			c.issueInt(act)
+		c.commit()
+		if q := &c.queues[qInt]; c.cycle >= q.minReady {
+			c.issueExec(q, c.cfg.IntIssueWidth)
 		}
-		if c.cycle >= c.fpQ.minReady {
-			c.issueFP(act)
+		if q := &c.queues[qFP]; c.cycle >= q.minReady {
+			c.issueExec(q, c.cfg.FPIssueWidth)
 		}
-		if c.cycle >= c.memQ.minReady {
+		if c.cycle >= c.queues[qMem].minReady {
 			c.issueMem(act)
 		}
 		if c.ifqCount > 0 {
-			c.dispatch(act)
-		}
-		c.fetch(0, act)
-		if c.head == h0 && c.tail == t0 && c.issues == i0 && act.FetchGroups == f0 {
-			c.idleSkip(end, false, 0, act)
-		}
-	}
-}
-
-// runFetchGated is the kernel for active fetch gating with idle issue
-// domains — the configuration every fetch-gating DTM policy produces. The
-// fetch-gate accumulator must advance every cycle (its duty pattern is
-// defined over wall cycles), so idle fast-forward replays the accumulator
-// additions across skipped cycles.
-func (c *Core) runFetchGated(n uint64, frac float64, act *Activity) {
-	end := c.cycle + n
-	for c.cycle < end {
-		c.cycle++
-		h0, t0, i0, f0 := c.head, c.tail, c.issues, act.FetchGroups
-		c.commit(act)
-		if c.cycle >= c.intQ.minReady {
-			c.issueInt(act)
-		}
-		if c.cycle >= c.fpQ.minReady {
-			c.issueFP(act)
-		}
-		if c.cycle >= c.memQ.minReady {
-			c.issueMem(act)
-		}
-		if c.ifqCount > 0 {
-			c.dispatch(act)
+			c.dispatch()
 		}
 		c.fetch(frac, act)
 		if c.head == h0 && c.tail == t0 && c.issues == i0 && act.FetchGroups == f0 {
-			c.idleSkip(end, true, frac, act)
+			c.idleSkip(end, frac, act)
 		}
 	}
 }
@@ -127,7 +96,7 @@ func (c *Core) runFetchGated(n uint64, frac float64, act *Activity) {
 // active, a cycle is dead only if fetch was also structurally unable to
 // act (gating alone proves nothing about the next cycle), and the
 // accumulator ticks for skipped cycles are replayed exactly.
-func (c *Core) idleSkip(end uint64, gated bool, frac float64, act *Activity) {
+func (c *Core) idleSkip(end uint64, frac float64, act *Activity) {
 	if !(c.cycle < c.fetchStallUntil || c.blockState != blockNone || c.ifqCount >= c.cfg.IFQSize) {
 		// Fetch could act next cycle (this one it was gated away or the
 		// stall expired mid-cycle); no stretch to skip.
@@ -139,14 +108,8 @@ func (c *Core) idleSkip(end uint64, gated bool, frac float64, act *Activity) {
 			t = c.robDoneAt[i]
 		}
 	}
-	if c.intQ.minReady < t {
-		t = c.intQ.minReady
-	}
-	if c.fpQ.minReady < t {
-		t = c.fpQ.minReady
-	}
-	if c.memQ.minReady < t {
-		t = c.memQ.minReady
+	for k := range c.queues {
+		t = min(t, c.queues[k].minReady)
 	}
 	if c.cycle < c.fetchStallUntil {
 		if c.fetchStallUntil < t {
@@ -166,7 +129,7 @@ func (c *Core) idleSkip(end uint64, gated bool, frac float64, act *Activity) {
 	if nc > end {
 		nc = end
 	}
-	if gated {
+	if frac > 0 {
 		// Replay the per-cycle fetch-gate accumulator ticks the skipped
 		// cycles would have performed — the identical repeated additions,
 		// so the duty pattern stays bit-exact.

@@ -120,7 +120,27 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(br, records); err != nil {
 		return nil, fmt.Errorf("trace: reading %d records: %w", count, err)
 	}
+	for k := uint64(0); k < count; k++ {
+		if err := checkRecord(records[k*recordBytes : (k+1)*recordBytes]); err != nil {
+			return nil, fmt.Errorf("trace: record %d: %w", k, err)
+		}
+	}
 	return &Reader{name: string(name), count: count, records: records}, nil
+}
+
+// checkRecord rejects a record the CPU model cannot run: a class byte
+// outside the defined classes, or a register that is neither an
+// architectural register nor NoReg.
+func checkRecord(rec []byte) error {
+	if c := Class(rec[0]); c >= NumClasses {
+		return fmt.Errorf("class %d out of range", rec[0])
+	}
+	for j, field := range [...]string{"dst", "src1", "src2"} {
+		if r := rec[1+j]; r >= NumRegs && r != NoReg {
+			return fmt.Errorf("%s register %d is neither < %d nor NoReg", field, r, NumRegs)
+		}
+	}
+	return nil
 }
 
 // Name returns the recorded workload name.

@@ -100,3 +100,45 @@ func TestNewReaderRejectsGarbage(t *testing.T) {
 		t.Error("accepted truncated trace")
 	}
 }
+
+// TestNewReaderRejectsUnrunnableRecords corrupts one field of one record
+// in a valid file per case and requires the load to fail naming that
+// record and field.
+func TestNewReaderRejectsUnrunnableRecords(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, simpleProfile(), 50); err != nil {
+		t.Fatal(err)
+	}
+	header := len(fileMagic) + 1 + len(simpleProfile().Name) + 8
+	const rec = 17
+	for _, tc := range []struct {
+		field  string
+		offset int
+		value  byte
+		want   string
+	}{
+		{"class", 0, byte(NumClasses), "class 7"},
+		{"dst", 1, 64, "dst register 64"},
+		{"src1", 2, 100, "src1 register 100"},
+		{"src2", 3, 254, "src2 register 254"},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			b := bytes.Clone(buf.Bytes())
+			b[header+rec*recordBytes+tc.offset] = tc.value
+			_, err := NewReader(bytes.NewReader(b))
+			if err == nil {
+				t.Fatalf("accepted %s = %d", tc.field, tc.value)
+			}
+			if !strings.Contains(err.Error(), "record 17") || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name record 17 and %q", err, tc.want)
+			}
+		})
+	}
+	// NoReg and the last architectural register stay legal.
+	b := bytes.Clone(buf.Bytes())
+	b[header+rec*recordBytes+1] = NoReg
+	b[header+rec*recordBytes+2] = NumRegs - 1
+	if _, err := NewReader(bytes.NewReader(b)); err != nil {
+		t.Errorf("rejected a runnable record: %v", err)
+	}
+}

@@ -31,7 +31,7 @@ const (
 	Load
 	Store
 	Branch
-	numClasses
+	NumClasses // number of classes; not a class
 )
 
 // String returns the class mnemonic.
@@ -58,6 +58,10 @@ func (c Class) String() string {
 
 // IsFP reports whether the class executes in the floating-point cluster.
 func (c Class) IsFP() bool { return c == FPAdd || c == FPMul }
+
+// NumRegs is the number of architectural registers: 0..31 integer,
+// 32..63 floating point.
+const NumRegs = 64
 
 // NoReg marks an absent register operand.
 const NoReg = 255

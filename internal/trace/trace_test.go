@@ -305,7 +305,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestClassString(t *testing.T) {
-	for c := IntALU; c < numClasses; c++ {
+	for c := IntALU; c < NumClasses; c++ {
 		if c.String() == "" || c.String()[0] == 'C' {
 			t.Errorf("class %d has bad name %q", c, c.String())
 		}
