@@ -344,6 +344,26 @@ func BenchmarkThermalStepBE(b *testing.B) {
 	}
 }
 
+// BenchmarkGridModelBuild measures building a 32×32 grid model and its
+// first steady-state solve, which factors the conductance matrix: the
+// grid's share of thermal-validate's set-up.
+func BenchmarkGridModelBuild(b *testing.B) {
+	fp := floorplan.EV6()
+	p := make([]float64, fp.NumBlocks())
+	for j := range p {
+		p[j] = 30 * fp.Block(j).Rect.Area() / fp.BlockArea()
+	}
+	for i := 0; i < b.N; i++ {
+		g, err := hotspot.NewGridModel(fp, hotspot.DefaultPackage(), 32, 32)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := g.Init(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkTraceGen measures instruction stream generation throughput.
 func BenchmarkTraceGen(b *testing.B) {
 	prof, _ := trace.ByName("gcc")

@@ -2,6 +2,7 @@ package hotspot
 
 import (
 	"fmt"
+	"strconv"
 
 	"hybriddtm/internal/floorplan"
 	"hybriddtm/internal/geom"
@@ -60,7 +61,7 @@ func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, rows, cols int) (*
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
-			names[i] = fmt.Sprintf("cell_%d_%d", r, c)
+			names[i] = "cell_" + strconv.Itoa(r) + "_" + strconv.Itoa(c)
 			caps[i] = cfg.CapFactor * cfg.SiliconVolCap * cellArea * cfg.DieThickness
 		}
 	}

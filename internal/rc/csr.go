@@ -71,15 +71,17 @@ type cooEntry struct {
 
 // fromTriplets builds a CSR from off-diagonal COO triplets plus a dense
 // diagonal vector. Triplets with equal (i, j) are summed in insertion
-// order; diag supplies the (always present) diagonal entries.
+// order; diag supplies the (always present) diagonal entries. val and
+// colIdx are sized up front for the worst case of no duplicates.
 func fromTriplets(n int, off []cooEntry, diag []float64) *CSR {
-	sort.SliceStable(off, func(a, b int) bool {
-		if off[a].i != off[b].i {
-			return off[a].i < off[b].i
-		}
-		return off[a].j < off[b].j
-	})
-	m := &CSR{n: n, rowPtr: make([]int, n+1), diag: make([]int, n)}
+	off = sortTriplets(n, off)
+	m := &CSR{
+		n:      n,
+		rowPtr: make([]int, n+1),
+		colIdx: make([]int, 0, len(off)+n),
+		val:    make([]float64, 0, len(off)+n),
+		diag:   make([]int, n),
+	}
 	k := 0
 	for i := 0; i < n; i++ {
 		placedDiag := false
@@ -106,4 +108,38 @@ func fromTriplets(n int, off []cooEntry, diag []float64) *CSR {
 		m.rowPtr[i+1] = len(m.val)
 	}
 	return m
+}
+
+// sortTriplets returns a copy of off ordered by (i, j), with equal pairs
+// kept in insertion order. A counting pass scatters the triplets by row,
+// stably; an insertion sort then orders each row by column, also stably.
+// Assembly appends a row's columns mostly in ascending order, so the
+// insertion sort costs about one comparison per triplet: the whole pass is
+// linear in the triplet count plus the rows' inversions.
+func sortTriplets(n int, off []cooEntry) []cooEntry {
+	next := make([]int, n+1)
+	for _, e := range off {
+		next[e.i+1]++
+	}
+	for i := 0; i < n; i++ {
+		next[i+1] += next[i]
+	}
+	rows := make([]cooEntry, len(off))
+	for _, e := range off {
+		rows[next[e.i]] = e
+		next[e.i]++
+	}
+	lo := 0
+	for i := 0; i < n; i++ {
+		row := rows[lo:next[i]]
+		for a := 1; a < len(row); a++ {
+			e, b := row[a], a
+			for ; b > 0 && row[b-1].j > e.j; b-- {
+				row[b] = row[b-1]
+			}
+			row[b] = e
+		}
+		lo = next[i]
+	}
+	return rows
 }
