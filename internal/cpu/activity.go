@@ -16,10 +16,9 @@ type Activity struct {
 	Fetched     uint64
 	GatedCycles uint64
 
-	FetchGroups   uint64 // = I-cache accesses
+	FetchGroups   uint64 // = I-cache and I-TLB accesses
 	ICacheMisses  uint64
 	BPredAccesses uint64
-	ITBAccesses   uint64
 
 	IntDispatched uint64
 	FPDispatched  uint64
@@ -29,14 +28,12 @@ type Activity struct {
 	IntMulIssued uint64
 	FPAddIssued  uint64
 	FPMulIssued  uint64
-	MemIssued    uint64
+	MemIssued    uint64 // = D-cache and D-TLB accesses
 
 	IntRegReads, IntRegWrites uint64
 	FPRegReads, FPRegWrites   uint64
 
-	DCacheAccesses uint64
-	DTBAccesses    uint64
-	L2Accesses     uint64
+	L2Accesses uint64
 }
 
 // Reset zeroes all counters.
@@ -51,7 +48,6 @@ func (a *Activity) Add(b *Activity) {
 	a.FetchGroups += b.FetchGroups
 	a.ICacheMisses += b.ICacheMisses
 	a.BPredAccesses += b.BPredAccesses
-	a.ITBAccesses += b.ITBAccesses
 	a.IntDispatched += b.IntDispatched
 	a.FPDispatched += b.FPDispatched
 	a.MemDispatched += b.MemDispatched
@@ -64,8 +60,6 @@ func (a *Activity) Add(b *Activity) {
 	a.IntRegWrites += b.IntRegWrites
 	a.FPRegReads += b.FPRegReads
 	a.FPRegWrites += b.FPRegWrites
-	a.DCacheAccesses += b.DCacheAccesses
-	a.DTBAccesses += b.DTBAccesses
 	a.L2Accesses += b.L2Accesses
 }
 
@@ -122,7 +116,7 @@ func (a *Activity) BlockActivity(fp *floorplan.Floorplan, dst []float64) ([]floa
 	}{
 		{floorplan.ICache, a.FetchGroups, 1},
 		{floorplan.BPred, a.BPredAccesses, 2},
-		{floorplan.ITB, a.ITBAccesses, 1},
+		{floorplan.ITB, a.FetchGroups, 1},
 		{floorplan.IntMap, a.IntDispatched, 4},
 		{floorplan.FPMap, a.FPDispatched, 4},
 		{floorplan.IntQ, a.IntIssued, 4},
@@ -133,8 +127,8 @@ func (a *Activity) BlockActivity(fp *floorplan.Floorplan, dst []float64) ([]floa
 		{floorplan.IntExec, a.IntIssued, 4},
 		{floorplan.FPAdd, a.FPAddIssued, 1},
 		{floorplan.FPMul, a.FPMulIssued, 1},
-		{floorplan.DCache, a.DCacheAccesses, 2},
-		{floorplan.DTB, a.DTBAccesses, 2},
+		{floorplan.DCache, a.MemIssued, 2},
+		{floorplan.DTB, a.MemIssued, 2},
 		{floorplan.L2, uint64(l2PerBank), 0.25},
 		{floorplan.L2Left, uint64(l2PerBank), 0.25},
 		{floorplan.L2Right, uint64(l2PerBank), 0.25},

@@ -583,10 +583,7 @@ func (c *Core) foldCounts(act *Activity) {
 	act.IntMulIssued += is[trace.IntMul]
 	act.FPAddIssued += is[trace.FPAdd]
 	act.FPMulIssued += is[trace.FPMul]
-	mem := is[trace.Load] + is[trace.Store] // one D-cache and D-TLB access each
-	act.MemIssued += mem
-	act.DCacheAccesses += mem
-	act.DTBAccesses += mem
+	act.MemIssued += is[trace.Load] + is[trace.Store] // one D-cache and D-TLB access each
 	act.IntRegReads += c.regReads[0]
 	act.FPRegReads += c.regReads[1]
 	act.IntRegWrites += c.regWrites[0]
@@ -956,7 +953,6 @@ func (c *Core) fetch(gateFrac float64, act *Activity) {
 	// One I-cache (and I-TLB) access per fetch group.
 	res := c.mem.Instruction(c.pending.PC)
 	act.FetchGroups++
-	act.ITBAccesses++
 	if !res.L1Hit {
 		act.L2Accesses++
 		act.ICacheMisses++

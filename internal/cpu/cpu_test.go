@@ -567,15 +567,14 @@ func TestBlockActivityClamps(t *testing.T) {
 	// Absurd event counts (corrupted or synthetic) must clamp to 1, never
 	// exceed it — the power model treats activity as a fraction of peak.
 	act := Activity{
-		Cycles:         100,
-		FetchGroups:    1e6,
-		BPredAccesses:  1e6,
-		ITBAccesses:    1e6,
-		IntDispatched:  1e6,
-		IntIssued:      1e6,
-		IntRegReads:    1e6,
-		DCacheAccesses: 1e6,
-		L2Accesses:     1e6,
+		Cycles:        100,
+		FetchGroups:   1e6,
+		BPredAccesses: 1e6,
+		IntDispatched: 1e6,
+		IntIssued:     1e6,
+		MemIssued:     1e6,
+		IntRegReads:   1e6,
+		L2Accesses:    1e6,
 	}
 	v, err := act.BlockActivity(floorplan.EV6(), nil)
 	if err != nil {
