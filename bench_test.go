@@ -472,12 +472,6 @@ func BenchmarkTracerMetrics(b *testing.B) {
 	benchCoupled(b, func() obs.Tracer { return obs.NewMetricsTracer(reg) })
 }
 
-// BenchmarkTracerRing measures the post-mortem ring buffer (copies every
-// event's slices into retained storage).
-func BenchmarkTracerRing(b *testing.B) {
-	benchCoupled(b, func() obs.Tracer { return obs.NewRing(4096) })
-}
-
 // BenchmarkTracerJSONL measures the full streaming sink with I/O factored
 // out (io.Discard), i.e. pure serialization cost.
 func BenchmarkTracerJSONL(b *testing.B) {

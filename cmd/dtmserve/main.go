@@ -6,34 +6,19 @@
 //
 // Usage:
 //
-//	dtmserve -cache DIR [-addr :8080] [-workers N] [-queue N]
-//	         [-max-insts N] [-retry-after 1s] [-quiet]
+//	dtmserve [-cache DIR] [-addr :8080] [-workers N] [-queue N]
+//	         [-max-insts N] [-retry-after 1s] [-drain 30s] [-quiet]
 //
 // Endpoints: POST /v1/jobs (submit a config, get a job id), GET /v1/jobs
 // and /v1/jobs/{id} (status), /v1/jobs/{id}/result, /v1/jobs/{id}/trace
-// (JSONL event stream for jobs submitted with "trace": true),
-// /v1/jobs/{id}/spans (lifecycle spans, with -spans), /v1/dashboard (live
-// HTML dashboard; /v1/dashboard/stream for SSE), /healthz, and /metrics
-// (the obs registry; /metrics.prom for the Prometheus text format).
-// SIGINT/SIGTERM drain gracefully: in-flight jobs complete and persist,
-// queued jobs report "canceled".
-//
-// Load generation:
-//
-//	dtmserve -loadgen [-n 500] [-clients 8] [-mix 24] [-scale smoke]
-//	         [-insts N] [-jobs file.jsonl] [-base URL] [-snapshot-out DIR]
-//
-// replays a deterministic mixed workload (duplicates included — dedup and
-// caching are the point) against -base, or against a throwaway in-process
-// server when -base is empty, and reports completed jobs/sec plus
-// submission-to-completion latency percentiles. -snapshot-out records a
-// BENCH_<sha>.json perf snapshot with serve.jobs_per_sec for dtmreport's
-// regression gate.
+// (JSONL event stream for jobs submitted with "trace": true), /healthz,
+// and /metrics (the obs registry; /metrics.prom for the Prometheus text
+// format). SIGINT/SIGTERM drain gracefully: in-flight jobs complete and
+// persist, queued jobs report "canceled".
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -41,12 +26,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"hybriddtm/internal/obs"
 	"hybriddtm/internal/serve"
 )
 
@@ -68,24 +50,8 @@ func run(ctx context.Context) error {
 	retryAfter := flag.Duration("retry-after", 0, "Retry-After hint on 429 responses (0 = serve default)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget for in-flight jobs")
 	quiet := flag.Bool("quiet", false, "suppress request/job logging")
-	spans := flag.Bool("spans", true, "per-job lifecycle span tracing and dashboard event rings (loadgen always runs with this off)")
-	dashHistory := flag.Int("dashboard-history", 8, "finished jobs keeping their dashboard thermal timeline (FIFO; must be >= 1)")
-	stageProfile := flag.Bool("stage-profile", false, "per-stage coupled-loop attribution on every job (sim.stage.* gauges on /metrics and the dashboard; loadgen with -snapshot-out also writes stageprofile.json beside the snapshot)")
-
-	loadgen := flag.Bool("loadgen", false, "run the load generator instead of serving")
-	base := flag.String("base", "", "loadgen: target server URL (default: a throwaway in-process server)")
-	n := flag.Int("n", 500, "loadgen: total submissions")
-	clients := flag.Int("clients", 8, "loadgen: concurrent clients")
-	mix := flag.Int("mix", 24, "loadgen: distinct configs in the generated mix (ignored with -jobs)")
-	scale := flag.String("scale", serve.ScaleSmoke, "loadgen: fidelity preset for the generated mix (paper, quick, smoke)")
-	insts := flag.Uint64("insts", 200_000, "loadgen: measured-window instructions for the generated mix")
-	jobsFile := flag.String("jobs", "", "loadgen: JSONL file of job configs to replay (default: generated mix)")
-	snapshotOut := flag.String("snapshot-out", "", "loadgen: write a BENCH_<sha>.json perf snapshot into this directory (or to this exact path when it ends in .json)")
 	flag.Parse()
 
-	if *dashHistory < 1 {
-		return fmt.Errorf("-dashboard-history must be >= 1, got %d", *dashHistory)
-	}
 	var logger *slog.Logger
 	if !*quiet {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -101,33 +67,12 @@ func run(ctx context.Context) error {
 		fmt.Fprintln(os.Stderr, "dtmserve: cache:", dir)
 	}
 	cfg := serve.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheDir:         dir,
-		MaxInstructions:  *maxInsts,
-		RetryAfter:       *retryAfter,
-		Logger:           logger,
-		Spans:            *spans,
-		DashboardHistory: *dashHistory,
-		StageProfile:     *stageProfile,
-	}
-
-	if *loadgen {
-		// The loadgen measures what the serving path sustains; its
-		// serve.jobs_per_sec number gates CI, so it always runs with span
-		// tracing and per-job rings off — the cheap histogram atomics are
-		// the only observability the benchmark pays for.
-		cfg.Spans = false
-		return runLoadgen(ctx, cfg, loadgenSpec{
-			base:        *base,
-			total:       *n,
-			clients:     *clients,
-			mix:         *mix,
-			scale:       *scale,
-			insts:       *insts,
-			jobsFile:    *jobsFile,
-			snapshotOut: *snapshotOut,
-		})
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheDir:        dir,
+		MaxInstructions: *maxInsts,
+		RetryAfter:      *retryAfter,
+		Logger:          logger,
 	}
 	return runServe(ctx, cfg, *addr, *drain)
 }
@@ -162,127 +107,4 @@ func runServe(ctx context.Context, cfg serve.Config, addr string, drain time.Dur
 		return err
 	}
 	return httpErr
-}
-
-type loadgenSpec struct {
-	base        string
-	total       int
-	clients     int
-	mix         int
-	scale       string
-	insts       uint64
-	jobsFile    string
-	snapshotOut string
-}
-
-// runLoadgen replays the mix and prints the LoadReport as JSON. Against
-// an in-process server (empty -base) the snapshot captures the server's
-// own registry, so sim.* throughput rides along with serve.jobs_per_sec.
-func runLoadgen(ctx context.Context, cfg serve.Config, spec loadgenSpec) error {
-	jobs, err := loadgenJobs(spec)
-	if err != nil {
-		return err
-	}
-
-	baseURL := spec.base
-	var reg *obs.Registry
-	var srv *serve.Server
-	if baseURL == "" {
-		srv, err = serve.New(cfg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close() //nolint:errcheck // torn down with the process
-		reg = srv.Metrics()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		httpSrv := &http.Server{Handler: srv.Handler()}
-		go httpSrv.Serve(ln)  //nolint:errcheck // lifetime owned by the process
-		defer httpSrv.Close() //nolint:errcheck // torn down with the process
-		baseURL = "http://" + ln.Addr().String()
-		fmt.Fprintln(os.Stderr, "dtmserve: loadgen target:", baseURL)
-	} else {
-		reg = obs.NewRegistry()
-	}
-
-	start := time.Now()
-	report, err := serve.Replay(ctx, serve.LoadSpec{
-		BaseURL: baseURL,
-		Jobs:    jobs,
-		Total:   spec.total,
-		Clients: spec.clients,
-	})
-	if err != nil {
-		return err
-	}
-	elapsed := time.Since(start)
-	if report.Failed > 0 {
-		return fmt.Errorf("loadgen: %d of %d jobs failed", report.Failed, report.Total)
-	}
-
-	out := json.NewEncoder(os.Stdout)
-	out.SetIndent("", "  ")
-	if err := out.Encode(report); err != nil {
-		return err
-	}
-
-	if spec.snapshotOut == "" {
-		return nil
-	}
-	snap := obs.CaptureBench(reg, elapsed, spec.clients, start)
-	snap.Add("serve.jobs_per_sec", "jobs/s", report.JobsPerSec, obs.BetterHigher)
-	// Percentiles only exist when something was measured: an all-rejected
-	// or empty run must not gate CI on a fabricated p99 of zero.
-	if report.LatencySamples > 0 {
-		snap.Add("serve.latency_p50_s", "s", report.LatencyP50S, obs.BetterLower)
-		snap.Add("serve.latency_p99_s", "s", report.LatencyP99S, obs.BetterLower)
-	}
-	// Against an in-process server the registry is the server's own, so
-	// the stage histograms carry real samples; against a remote -base the
-	// local registry is empty and these are skipped the same way.
-	if h := reg.Histogram(obs.MetricServeQueueWait); h.Count() > 0 {
-		snap.Add("serve.queue_wait_p99_ms", "ms", h.Quantile(0.99)*1e3, obs.BetterLower)
-	}
-	if h := reg.Histogram(obs.MetricServeRunSecs); h.Count() > 0 {
-		snap.Add("serve.run_ms_p99", "ms", h.Quantile(0.99)*1e3, obs.BetterLower)
-	}
-	path := spec.snapshotOut
-	if strings.HasSuffix(path, ".json") {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			return err
-		}
-	} else {
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return err
-		}
-		path = filepath.Join(path, obs.BenchFileName(snap.GitSHA))
-	}
-	if err := snap.WriteFile(path); err != nil {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "dtmserve: snapshot:", path)
-	// With -stage-profile against the in-process server, the last job's
-	// attribution lands beside the snapshot for dtmreport.
-	if srv != nil {
-		if doc, ok := srv.StageProfileDoc(); ok {
-			spPath := filepath.Join(filepath.Dir(path), "stageprofile.json")
-			if err := doc.WriteFile(spPath); err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, "dtmserve: stage profile:", spPath)
-		}
-	}
-	return nil
-}
-
-func loadgenJobs(spec loadgenSpec) ([]serve.JobConfig, error) {
-	if spec.jobsFile != "" {
-		return serve.LoadJobsFile(spec.jobsFile)
-	}
-	if spec.mix <= 0 {
-		return nil, fmt.Errorf("loadgen: -mix must be positive")
-	}
-	return serve.DefaultMix(spec.mix, spec.insts, spec.scale), nil
 }

@@ -63,9 +63,8 @@ func TestCaptureBenchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCaptureBenchUnmeasuredRates: a registry that observed nothing (a
-// loadgen aimed at a remote server captures its empty local registry)
-// and a zero elapsed time both leave the rates out rather than writing
+// TestCaptureBenchUnmeasuredRates: a registry that observed nothing and
+// a zero elapsed time both leave the rates out rather than writing
 // 0, so a gate naming one reports it missing instead of passing on a 0
 // base.
 func TestCaptureBenchUnmeasuredRates(t *testing.T) {

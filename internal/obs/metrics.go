@@ -173,21 +173,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // Max returns the largest observation (-Inf with no data).
 func (h *Histogram) Max() float64 { return math.Float64frombits(h.max.Load()) }
 
-// Buckets returns a point-in-time copy of the histogram's upper bounds
-// and per-bucket (non-cumulative) counts. counts has one more entry than
-// bounds: the implicit +Inf overflow bucket. Because each bucket is read
-// with its own atomic load, the copy is only approximately consistent
-// under concurrent Observe — fine for dashboards and exposition, which is
-// all it feeds.
-func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	bounds = append([]float64(nil), h.bounds...)
-	counts = make([]int64, len(h.counts))
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-	}
-	return bounds, counts
-}
-
 // Registry is a named collection of metrics. Get-or-create accessors are
 // safe for concurrent use; two callers asking for the same name share the
 // same metric. A name registered as one kind must not be re-requested as

@@ -16,10 +16,8 @@
 // extend the schema without breaking existing tracers. Slices in an Event
 // (Temps, Power, Readings) are borrowed from the simulator's scratch
 // buffers and are valid only for the duration of the Emit call — a tracer
-// that retains events must copy them (Ring does).
+// that retains events must copy them.
 package obs
-
-import "sync"
 
 // Kind discriminates event types.
 type Kind uint8
@@ -227,92 +225,4 @@ func (m *multi) End() {
 	for _, t := range m.ts {
 		t.End()
 	}
-}
-
-// Ring keeps the last N events in a ring buffer, copying borrowed slices
-// into per-slot storage so retained events stay valid. It is the
-// lightweight always-on option for post-mortem debugging: run with a Ring
-// attached, and on an unexpected result dump the tail of the event stream
-// without paying for a full sink.
-//
-// Unlike sinks, a Ring IS safe for concurrent Emit: it is the natural
-// "keep the tail of everything" tracer to share across a worker pool (via
-// Combine with per-run tracers), so it takes a mutex per emission. The
-// single-goroutine cost is an uncontended lock, noise next to the slice
-// copies.
-type Ring struct {
-	mu    sync.Mutex
-	meta  Meta    // guarded-by: mu
-	buf   []Event // guarded-by: mu
-	next  int     // guarded-by: mu
-	full  bool    // guarded-by: mu
-	total uint64  // guarded-by: mu
-}
-
-// NewRing returns a ring tracer holding the most recent n events.
-func NewRing(n int) *Ring {
-	if n < 1 {
-		n = 1
-	}
-	return &Ring{buf: make([]Event, n)}
-}
-
-func (r *Ring) Begin(meta Meta) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.meta = meta
-}
-
-func (r *Ring) End() {}
-
-// Emit copies the event (including slices) into the ring.
-func (r *Ring) Emit(ev *Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	slot := &r.buf[r.next]
-	temps, power, readings := slot.Temps, slot.Power, slot.Readings
-	*slot = *ev
-	slot.Temps = append(temps[:0], ev.Temps...)
-	slot.Power = append(power[:0], ev.Power...)
-	slot.Readings = append(readings[:0], ev.Readings...)
-	r.next++
-	r.total++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Total returns how many events were emitted over the run (not just the
-// retained tail).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Snapshot returns the run metadata and a deep copy of the retained
-// events, oldest first. The copy shares no storage with the ring (the
-// per-event Temps/Power/Readings slices are duplicated), so it stays
-// valid — and race-free — while the simulator keeps emitting. It is the
-// ring's one reader, used by the serve dashboard.
-func (r *Ring) Snapshot() (Meta, []Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ordered []Event
-	if !r.full {
-		ordered = r.buf[:r.next]
-	} else {
-		ordered = make([]Event, 0, len(r.buf))
-		ordered = append(ordered, r.buf[r.next:]...)
-		ordered = append(ordered, r.buf[:r.next]...)
-	}
-	out := make([]Event, len(ordered))
-	for i := range ordered {
-		out[i] = ordered[i]
-		out[i].Temps = append([]float64(nil), ordered[i].Temps...)
-		out[i].Power = append([]float64(nil), ordered[i].Power...)
-		out[i].Readings = append([]float64(nil), ordered[i].Readings...)
-	}
-	return r.meta, out
 }

@@ -64,53 +64,3 @@ func TestCombine(t *testing.T) {
 		}
 	}
 }
-
-func TestRingRetainsTail(t *testing.T) {
-	r := NewRing(3)
-	r.Begin(Meta{Policy: "Hyb"})
-	for i := 0; i < 5; i++ {
-		ev := Event{Kind: KindStep, Step: uint64(i)}
-		r.Emit(&ev)
-	}
-	if r.Total() != 5 {
-		t.Errorf("Total = %d, want 5", r.Total())
-	}
-	meta, got := r.Snapshot()
-	if len(got) != 3 {
-		t.Fatalf("retained %d events, want 3", len(got))
-	}
-	for i, want := range []uint64{2, 3, 4} {
-		if got[i].Step != want {
-			t.Errorf("event %d: Step = %d, want %d (oldest first)", i, got[i].Step, want)
-		}
-	}
-	if meta.Policy != "Hyb" {
-		t.Errorf("Meta.Policy = %q", meta.Policy)
-	}
-}
-
-func TestRingPartialFill(t *testing.T) {
-	r := NewRing(8)
-	ev := Event{Kind: KindSensor, Step: 1}
-	r.Emit(&ev)
-	_, got := r.Snapshot()
-	if len(got) != 1 || got[0].Step != 1 {
-		t.Fatalf("Snapshot() = %+v, want the single emitted event", got)
-	}
-}
-
-// TestRingCopiesBorrowedSlices is the borrowed-slice contract: the
-// simulator reuses its scratch buffers between Emit calls, so a retaining
-// tracer must deep-copy or it reads future steps' data.
-func TestRingCopiesBorrowedSlices(t *testing.T) {
-	r := NewRing(4)
-	scratch := []float64{70.0, 80.0}
-	ev := Event{Kind: KindStep, Temps: scratch, Power: scratch}
-	r.Emit(&ev)
-	scratch[0] = -1 // simulator overwrites its buffer for the next step
-	_, events := r.Snapshot()
-	got := events[0]
-	if got.Temps[0] != 70.0 || got.Power[0] != 70.0 {
-		t.Errorf("ring aliased the borrowed slice: temps=%v power=%v", got.Temps, got.Power)
-	}
-}

@@ -23,7 +23,11 @@ func TestHistogramWithBuckets(t *testing.T) {
 	}
 	h.Observe(100)  // falls in (64, 256]
 	h.Observe(1e12) // beyond the last bound: +Inf bucket
-	bounds, counts := h.Buckets()
+	bounds := h.bounds
+	counts := make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
 	if len(counts) != len(bounds)+1 {
 		t.Fatalf("got %d counts for %d bounds, want bounds+1", len(counts), len(bounds))
 	}

@@ -1,24 +1,21 @@
-// Spans: the serving layer's request-lifecycle tracing primitive. Where
-// the Event stream answers "what did the simulator do at simulated time
-// t", a Span answers "where did this job's wall-clock latency go" — how
-// long it queued, ran, persisted. Spans are deliberately tiny and
-// deterministic-friendly:
+// Spans: a wall-clock tracing primitive. Where the Event stream answers
+// "what did the simulator do at simulated time t", a Span answers "where
+// did this run's wall-clock time go" — the benchmark harness
+// (bench/dtmbench) records its runs' phases and probes as spans. Spans are
+// deliberately tiny and deterministic-friendly:
 //
 //   - identity is content-derived, not random: a span id is a sha256
-//     prefix over (trace id, stage name), and the trace id is the job's
-//     existing content-addressed key, so the same job produces the same
-//     ids on every run and golden tests can pin span output byte for byte;
-//   - times are offsets in seconds from the trace's epoch (the instant the
-//     request was received), computed with time.Time.Sub — Go's monotonic
-//     clock reading — so spans measure real elapsed time and never go
-//     negative across wall-clock adjustments;
+//     prefix over (trace id, stage name), so the same trace produces the
+//     same ids on every run;
+//   - times are offsets in seconds from the trace's epoch, computed with
+//     time.Time.Sub — Go's monotonic clock reading — so spans measure real
+//     elapsed time and never go negative across wall-clock adjustments;
 //   - serialization reuses the JSONL sink conventions (one object per
 //     line, "ev" discriminator first, strconv 'g' float formatting that
 //     round-trips float64 exactly), so span streams are greppable next to
-//     event streams and stable under golden testing.
+//     event streams.
 //
-// A SpanSet is not goroutine-safe; the owner (internal/serve guards each
-// job's set with the server mutex) serializes access.
+// A SpanSet is not goroutine-safe; its owner serializes access.
 package obs
 
 import (
@@ -33,7 +30,7 @@ import (
 // spans because the epoch itself is the instant before the first stage
 // begins... see SpanSet.clamp).
 type Span struct {
-	Trace  string  `json:"trace"`            // trace id: the job's content-addressed key
+	Trace  string  `json:"trace"`            // trace id
 	ID     string  `json:"id"`               // deterministic: sha256(trace, name) prefix
 	Parent string  `json:"parent,omitempty"` // parent span id; "" for the root
 	Name   string  `json:"name"`             // stage name ("submit", "run", ...)
@@ -61,8 +58,8 @@ func SpanID(trace, name string) string {
 }
 
 // SpanSet accumulates the spans of one trace. Stage names are unique
-// within a set (the lifecycle stages are fixed vocabulary); Begin of an
-// existing name is ignored rather than duplicated.
+// within a set; Begin of an existing name is ignored rather than
+// duplicated.
 type SpanSet struct {
 	trace string
 	epoch time.Time
@@ -108,7 +105,7 @@ func (ss *SpanSet) Begin(name, parent string, at time.Time) {
 }
 
 // End closes the named stage at time at. Unknown or already-closed
-// stages are ignored (a canceled job never opened "run").
+// stages are ignored.
 func (ss *SpanSet) End(name string, at time.Time) {
 	i, ok := ss.index[name]
 	if !ok || ss.spans[i].EndS > 0 {

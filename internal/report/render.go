@@ -155,16 +155,13 @@ func traceSection(tr TraceSummary) section {
 	)
 	sec.Tables = append(sec.Tables, res, sw)
 
-	sec.SVGs = append(sec.SVGs, TimelineSVGs(tr)...)
+	sec.SVGs = append(sec.SVGs, timelineSVGs(tr)...)
 	return sec
 }
 
-// TimelineSVGs renders a summary's thermal and actuator timelines as two
-// self-contained SVG documents (nil with fewer than two samples). It is
-// exported for the serve dashboard, which feeds it live ring-buffer
-// summaries; dtmreport's HTML view uses the identical rendering, so a
-// running job's chart matches its eventual report byte for byte.
-func TimelineSVGs(tr TraceSummary) []string {
+// timelineSVGs renders a summary's thermal and actuator timelines as two
+// self-contained SVG documents (nil with fewer than two samples).
+func timelineSVGs(tr TraceSummary) []string {
 	if len(tr.Points) < 2 {
 		return nil
 	}

@@ -160,45 +160,6 @@ func (c chart) SVG() string {
 	return b.String()
 }
 
-// Sparkline renders values as a minimal inline SVG polyline — no frame,
-// no axes, no labels — for dense dashboard rows (histogram bucket
-// shapes, per-worker load). Like chart.SVG the output is byte-stable:
-// coordinates are fixed-precision and the y range is fitted to the data.
-// Fewer than two values render an empty placeholder of the same size.
-func Sparkline(values []float64, w, h int, color string) string {
-	if w <= 0 {
-		w = 120
-	}
-	if h <= 0 {
-		h = 24
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 %d %d" width="%d" height="%d" role="img">`, w, h, w, h)
-	if len(values) >= 2 {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range values {
-			lo, hi = math.Min(lo, v), math.Max(hi, v)
-		}
-		if stats.SameFloat(hi, lo) {
-			hi = lo + 1
-		}
-		// One pixel of vertical inset so extreme points keep their stroke.
-		span := float64(h - 2)
-		var pts strings.Builder
-		for i, v := range values {
-			if i > 0 {
-				pts.WriteByte(' ')
-			}
-			x := float64(i) / float64(len(values)-1) * float64(w)
-			y := float64(h-1) - (v-lo)/(hi-lo)*span
-			fmt.Fprintf(&pts, "%.1f,%.1f", x, y)
-		}
-		fmt.Fprintf(&b, `<polyline fill="none" stroke="%s" stroke-width="1.5" points="%s"/>`, color, pts.String())
-	}
-	b.WriteString("</svg>")
-	return b.String()
-}
-
 // barSegment is one share of a StackedBar.
 type barSegment struct {
 	Name  string

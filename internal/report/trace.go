@@ -3,9 +3,8 @@
 // an obs.Event and feeds it to fold, which keeps the thermal/actuation
 // timeline the report renders and adds the event to the summary's
 // obs.Tally — the one aggregation of events into DTM residency and
-// switch counts. SummarizeEvents (live.go) runs the same fold over
-// in-memory events. Raw events are not retained, so a
-// multi-gigabyte trace summarizes in one streaming pass.
+// switch counts. Raw events are not retained, so a multi-gigabyte trace
+// summarizes in one streaming pass.
 package report
 
 import (
@@ -72,8 +71,7 @@ type traceRec struct {
 }
 
 // fold adds one event to the summary's tally and, for a step, to its
-// timeline. Every trace source summarizes through it, then downsamples
-// the timeline once the last event is in.
+// timeline. ReadTrace downsamples the timeline once the last event is in.
 func (s *TraceSummary) fold(ev *obs.Event) {
 	s.Add(ev)
 	if ev.Kind == obs.KindStep {
@@ -148,6 +146,19 @@ func ReadTrace(r io.Reader, name string) (TraceSummary, error) {
 	}
 	sum.Points = downsample(sum.Points, maxTimelinePoints)
 	return sum, nil
+}
+
+// downsample strides points down to at most limit samples.
+func downsample(points []TracePoint, limit int) []TracePoint {
+	if len(points) <= limit {
+		return points
+	}
+	stride := (len(points) + limit - 1) / limit
+	kept := points[:0]
+	for i := 0; i < len(points); i += stride {
+		kept = append(kept, points[i])
+	}
+	return kept
 }
 
 // ReadTraceFile summarizes the trace at path.

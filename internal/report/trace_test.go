@@ -6,16 +6,15 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
-	"strings"
 	"testing"
 
 	"hybriddtm/internal/obs"
 )
 
-// liveFixture builds a small synthetic event stream exercising every
+// traceFixture builds a small synthetic event stream exercising every
 // aggregation bucket: steps with gating/DVS/clockstop/stall, a switch
 // actuation, and trigger + emergency crossings.
-func liveFixture() (obs.Meta, []obs.Event) {
+func traceFixture() (obs.Meta, []obs.Event) {
 	meta := obs.Meta{
 		Benchmark: "synthetic", Policy: "hybrid",
 		Blocks:  []string{"icache", "intreg"},
@@ -35,12 +34,12 @@ func liveFixture() (obs.Meta, []obs.Event) {
 	return meta, evs
 }
 
-// TestSummarizeEventsMatchesReadTrace pins ReadTrace's mapping from JSONL
-// records back onto obs.Event: both paths share one fold, so the same
-// events routed through the JSONL sink and read back must produce the
-// same summary as folding them directly.
-func TestSummarizeEventsMatchesReadTrace(t *testing.T) {
-	meta, evs := liveFixture()
+// TestReadTraceMatchesDirectFold pins ReadTrace's mapping from JSONL
+// records back onto obs.Event: the fixture routed through the JSONL sink
+// and read back must summarize exactly as folding the events directly,
+// and the summary must count every aggregation bucket the fixture hits.
+func TestReadTraceMatchesDirectFold(t *testing.T) {
+	meta, evs := traceFixture()
 
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
@@ -52,18 +51,41 @@ func TestSummarizeEventsMatchesReadTrace(t *testing.T) {
 	if err := sink.Err(); err != nil {
 		t.Fatalf("sink: %v", err)
 	}
-
 	batch, err := ReadTrace(&buf, "t.jsonl")
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
-	live := SummarizeEvents(meta, evs, "t.jsonl")
 
-	// Event counts legitimately differ (the sink's footer counts records,
-	// the live path counts the retained slice); normalize before diffing.
-	batch.Events, live.Events = 0, 0
-	if !reflect.DeepEqual(batch, live) {
-		t.Errorf("live summary diverged from batch summary:\nbatch: %+v\nlive:  %+v", batch, live)
+	direct := TraceSummary{
+		File:      "t.jsonl",
+		Schema:    obs.SchemaVersion,
+		Benchmark: meta.Benchmark,
+		Policy:    meta.Policy,
+		Blocks:    meta.Blocks,
+		Tally:     obs.Tally{Trigger: meta.Trigger, Emergency: meta.Emergency},
+	}
+	for i := range evs {
+		direct.fold(&evs[i])
+	}
+	if !reflect.DeepEqual(batch, direct) {
+		t.Errorf("ReadTrace diverged from the direct fold:\nread:   %+v\ndirect: %+v", batch, direct)
+	}
+
+	if batch.Events != int64(len(evs)) {
+		t.Errorf("Events = %d, want %d", batch.Events, len(evs))
+	}
+	if len(batch.Points) != 4 {
+		t.Errorf("Points = %d, want 4 step samples", len(batch.Points))
+	}
+	if batch.DVSSwitches != 1 || batch.TriggerCrossings != 1 || batch.EmergencyUp != 1 {
+		t.Errorf("counts = switches %d, trigger-up %d, emergency-up %d; want 1,1,1",
+			batch.DVSSwitches, batch.TriggerCrossings, batch.EmergencyUp)
+	}
+	if batch.Gated <= 0 || batch.LowV <= 0 || batch.ClockStopped <= 0 || batch.Stalled <= 0 {
+		t.Errorf("residency buckets missing: %+v", batch)
+	}
+	if svgs := timelineSVGs(batch); len(svgs) != 2 {
+		t.Errorf("timelineSVGs = %d charts, want 2", len(svgs))
 	}
 }
 
@@ -128,27 +150,6 @@ func TestMetricsTracerMatchesReadTrace(t *testing.T) {
 	}
 }
 
-func TestSummarizeEventsCounts(t *testing.T) {
-	meta, evs := liveFixture()
-	sum := SummarizeEvents(meta, evs, "ring")
-	if sum.Events != int64(len(evs)) {
-		t.Errorf("Events = %d, want %d", sum.Events, len(evs))
-	}
-	if len(sum.Points) != 4 {
-		t.Errorf("Points = %d, want 4 step samples", len(sum.Points))
-	}
-	if sum.DVSSwitches != 1 || sum.TriggerCrossings != 1 || sum.EmergencyUp != 1 {
-		t.Errorf("counts = switches %d, trigger-up %d, emergency-up %d; want 1,1,1",
-			sum.DVSSwitches, sum.TriggerCrossings, sum.EmergencyUp)
-	}
-	if sum.Gated <= 0 || sum.LowV <= 0 || sum.ClockStopped <= 0 || sum.Stalled <= 0 {
-		t.Errorf("residency buckets missing: %+v", sum)
-	}
-	if svgs := TimelineSVGs(sum); len(svgs) != 2 {
-		t.Errorf("TimelineSVGs = %d charts, want 2", len(svgs))
-	}
-}
-
 func TestDownsample(t *testing.T) {
 	points := make([]TracePoint, 5003)
 	for i := range points {
@@ -164,28 +165,5 @@ func TestDownsample(t *testing.T) {
 	short := []TracePoint{{T: 1}, {T: 2}}
 	if !reflect.DeepEqual(downsample(short, maxTimelinePoints), short) {
 		t.Errorf("short slices must pass through untouched")
-	}
-}
-
-func TestSparklineStable(t *testing.T) {
-	vals := []float64{1, 4, 2, 8, 5}
-	a := Sparkline(vals, 120, 24, "#2980b9")
-	b := Sparkline(vals, 120, 24, "#2980b9")
-	if a != b {
-		t.Fatalf("Sparkline is not byte-stable")
-	}
-	if !strings.Contains(a, "<polyline") || !strings.Contains(a, "#2980b9") {
-		t.Errorf("sparkline missing polyline/color: %s", a)
-	}
-	if strings.Contains(a, "NaN") {
-		t.Errorf("sparkline produced NaN coordinates: %s", a)
-	}
-	empty := Sparkline(nil, 120, 24, "#2980b9")
-	if strings.Contains(empty, "<polyline") {
-		t.Errorf("empty sparkline should have no polyline: %s", empty)
-	}
-	flat := Sparkline([]float64{3, 3, 3}, 0, 0, "#27ae60")
-	if strings.Contains(flat, "NaN") || !strings.Contains(flat, "<polyline") {
-		t.Errorf("flat sparkline must render without NaN: %s", flat)
 	}
 }

@@ -19,8 +19,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"hybriddtm/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden API responses")
@@ -57,7 +55,7 @@ func testUptime() func() time.Duration {
 }
 
 // contractServer builds the deterministic server the contract script runs
-// against: 1 worker, queue depth 1, gated, frozen clock, span tracing on.
+// against: 1 worker, queue depth 1, gated, frozen clock.
 func contractServer(t *testing.T) (*Server, *httptest.Server, chan struct{}) {
 	t.Helper()
 	gate := make(chan struct{})
@@ -67,15 +65,14 @@ func contractServer(t *testing.T) (*Server, *httptest.Server, chan struct{}) {
 		CacheDir:        t.TempDir(),
 		MaxInstructions: 1_000_000,
 		RetryAfter:      7 * time.Second,
-		Spans:           true,
 		gate:            gate,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	srv.now = testClock()
-	// Pin the uptime source to its own stepping fake so /healthz and the
-	// dashboard report deterministic uptimes.
+	// Pin the uptime source to its own stepping fake so /healthz reports
+	// deterministic uptimes.
 	srv.sinceStart = testUptime()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -273,14 +270,6 @@ func TestContract(t *testing.T) {
 		t.Errorf("streamed trace differs from cache artifact (%d vs %d bytes)", len(body), len(artifact))
 	}
 
-	// --- lifecycle spans: the full 7-stage trace with parent links ---
-	resp, body = do(t, http.MethodGet, base+"/v1/jobs/j-000001/spans", "")
-	checkGolden(t, "spans_done", resp, body)
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("spans Content-Type = %q, want application/x-ndjson", ct)
-	}
-	assertSpanLifecycle(t, body)
-
 	// --- the panoramic endpoints ---
 	resp, body = do(t, http.MethodGet, base+"/v1/jobs", "")
 	checkGolden(t, "list", resp, body)
@@ -296,48 +285,6 @@ func TestContract(t *testing.T) {
 	for _, metric := range []string{"serve.jobs_done", "serve.deduped", "serve.rejected"} {
 		if !bytes.Contains(body, []byte(metric)) {
 			t.Errorf("/metrics missing %s:\n%s", metric, body)
-		}
-	}
-}
-
-// assertSpanLifecycle checks a spans response carries the full 7-stage
-// lifecycle (submit, validate, lookup, queue_wait, run, persist, respond)
-// under one root, with deterministic ids and consistent parent links.
-func assertSpanLifecycle(t *testing.T, body []byte) {
-	t.Helper()
-	spans := map[string]obs.Span{}
-	for i, line := range bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n")) {
-		var sp obs.Span
-		if err := json.Unmarshal(line, &sp); err != nil {
-			t.Fatalf("span line %d: %v: %q", i+1, err, line)
-		}
-		spans[sp.Name] = sp
-	}
-	root, ok := spans["job"]
-	if !ok || root.Parent != "" {
-		t.Fatalf("missing root span or root has a parent: %+v", spans)
-	}
-	parents := map[string]string{
-		"submit": "job", "validate": "submit", "lookup": "submit",
-		"respond": "submit", "queue_wait": "job", "run": "job", "persist": "job",
-	}
-	if len(spans) != len(parents)+1 {
-		t.Errorf("got %d spans, want root + %d stages: %v", len(spans), len(parents), spans)
-	}
-	for name, parent := range parents {
-		sp, ok := spans[name]
-		if !ok {
-			t.Errorf("lifecycle stage %q missing", name)
-			continue
-		}
-		if sp.ID != obs.SpanID(sp.Trace, name) {
-			t.Errorf("stage %q id %q is not content-derived", name, sp.ID)
-		}
-		if want := obs.SpanID(sp.Trace, parent); sp.Parent != want {
-			t.Errorf("stage %q parent = %q, want %s's id %q", name, sp.Parent, parent, want)
-		}
-		if sp.EndS <= 0 || sp.EndS < sp.StartS {
-			t.Errorf("stage %q not closed or runs backwards: %+v", name, sp)
 		}
 	}
 }
@@ -391,126 +338,6 @@ func TestHealthUptimeMonotonic(t *testing.T) {
 	}
 	if u1 < 0 || u2 < 0 {
 		t.Errorf("negative uptime: %v, %v", u1, u2)
-	}
-}
-
-// TestDashboardHistoryEviction pins the finished-ring FIFO: with
-// DashboardHistory=2, finishing a third job evicts the OLDEST finished
-// ring, and the survivors keep submission order.
-func TestDashboardHistoryEviction(t *testing.T) {
-	srv, err := New(Config{
-		Workers:          1,
-		QueueDepth:       8,
-		CacheDir:         t.TempDir(),
-		Spans:            true,
-		DashboardHistory: 2,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-	})
-
-	for i, cfg := range []string{
-		`{"benchmark": "art", "policy": "hyb", "instructions": 100000, "scale": "smoke"}`,
-		`{"benchmark": "gcc", "policy": "dvs", "instructions": 100000, "scale": "smoke"}`,
-		`{"benchmark": "gzip", "policy": "fg", "instructions": 100000, "scale": "smoke"}`,
-	} {
-		resp, body := do(t, http.MethodPost, ts.URL+"/v1/jobs", cfg)
-		if resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d: HTTP %d: %s", i+1, resp.StatusCode, body)
-		}
-		id := fmt.Sprintf("j-%06d", i+1)
-		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		if err := srv.WaitJob(ctx, id); err != nil {
-			cancel()
-			t.Fatalf("WaitJob %s: %v", id, err)
-		}
-		cancel()
-	}
-
-	srv.mu.Lock()
-	done := append([]string(nil), srv.doneRings...)
-	evictedRing := srv.jobs["j-000001"].ring
-	kept2 := srv.jobs["j-000002"].ring
-	kept3 := srv.jobs["j-000003"].ring
-	srv.mu.Unlock()
-	if want := []string{"j-000002", "j-000003"}; fmt.Sprint(done) != fmt.Sprint(want) {
-		t.Errorf("doneRings = %v, want %v (oldest evicted first)", done, want)
-	}
-	if evictedRing != nil {
-		t.Error("oldest job's ring survived past the history cap")
-	}
-	if kept2 == nil || kept3 == nil {
-		t.Error("a job inside the history cap lost its ring")
-	}
-}
-
-// TestDashboardStageAttribution: with StageProfile on, a finished job
-// leaves a stage-profile document behind, the dashboard renders the
-// "Stage attribution" section, and the sim.stage.* gauges land in the
-// registry's Prometheus exposition.
-func TestDashboardStageAttribution(t *testing.T) {
-	srv, err := New(Config{
-		Workers:      1,
-		CacheDir:     t.TempDir(),
-		StageProfile: true,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(ctx); err != nil {
-			t.Errorf("Shutdown: %v", err)
-		}
-	})
-
-	resp, body := do(t, http.MethodPost, ts.URL+"/v1/jobs",
-		`{"benchmark": "gzip", "policy": "hyb", "instructions": 100000, "scale": "smoke"}`)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	if err := srv.WaitJob(ctx, "j-000001"); err != nil {
-		t.Fatalf("WaitJob: %v", err)
-	}
-
-	doc, ok := srv.StageProfileDoc()
-	if !ok {
-		t.Fatal("no stage profile after a finished job with StageProfile on")
-	}
-	if doc.Benchmark != "gzip" || doc.Policy != "hyb" || doc.Steps == 0 {
-		t.Errorf("stage profile = %s/%s with %d steps", doc.Benchmark, doc.Policy, doc.Steps)
-	}
-
-	resp, body = do(t, http.MethodGet, ts.URL+"/v1/dashboard", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/v1/dashboard: HTTP %d", resp.StatusCode)
-	}
-	for _, want := range []string{"Stage attribution", "thermal.step", "gzip under hyb"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("dashboard missing %q", want)
-		}
-	}
-
-	resp, body = do(t, http.MethodGet, ts.URL+"/metrics.prom", "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics.prom: HTTP %d", resp.StatusCode)
-	}
-	if !strings.Contains(string(body), "sim_stage_thermal_step_frac") {
-		t.Errorf("exposition missing sim_stage_thermal_step_frac:\n%.400s", body)
 	}
 }
 
@@ -575,10 +402,6 @@ func TestContractCanceledResult(t *testing.T) {
 	resp, body = do(t, http.MethodGet, ts.URL+"/v1/jobs/j-000002/result", "")
 	checkGolden(t, "result_canceled", resp, body)
 
-	// Span tracing is off on this server: the endpoint says so.
-	resp, body = do(t, http.MethodGet, ts.URL+"/v1/jobs/j-000002/spans", "")
-	checkGolden(t, "spans_disabled", resp, body)
-
 	// While draining: health reports 503 and submissions bounce.
 	resp, body = do(t, http.MethodGet, ts.URL+"/healthz", "")
 	checkGolden(t, "health_draining", resp, body)
@@ -589,5 +412,110 @@ func TestContractCanceledResult(t *testing.T) {
 	close(gate)
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestHealthOccupancy: with one job held at the worker gate, /healthz
+// reports it active and the server's capacity fields.
+func TestHealthOccupancy(t *testing.T) {
+	srv, ts, gate := contractServer(t)
+
+	resp, body := do(t, http.MethodPost, ts.URL+"/v1/jobs",
+		`{"benchmark": "gcc", "policy": "dvs", "instructions": 100000, "scale": "smoke"}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d: %s", resp.StatusCode, body)
+	}
+	pollState(t, ts.URL, "j-000001", StateRunning)
+
+	_, body = do(t, http.MethodGet, ts.URL+"/healthz", "")
+	var h struct {
+		Status   string  `json:"status"`
+		UptimeS  float64 `json:"uptime_s"`
+		Workers  int     `json:"workers"`
+		QueueCap int     `json:"queue_capacity"`
+		Queued   int     `json:"queued"`
+		Active   int     `json:"active"`
+		Jobs     int     `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatalf("healthz: %v: %s", err, body)
+	}
+	if h.Status != "ok" || h.Workers != 1 || h.QueueCap != 1 {
+		t.Errorf("healthz capacity fields wrong: %+v", h)
+	}
+	if h.Active != 1 || h.Jobs != 1 {
+		t.Errorf("healthz occupancy wrong with one held job: %+v", h)
+	}
+	if h.UptimeS <= 0 {
+		t.Errorf("healthz uptime %g, want > 0", h.UptimeS)
+	}
+
+	gate <- struct{}{}
+	waitCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := srv.WaitJob(waitCtx, "j-000001"); err != nil {
+		t.Fatalf("WaitJob: %v", err)
+	}
+}
+
+// TestRetryAfterRoundsUp pins the 429 backoff hint: Retry-After carries
+// whole seconds, rounded up and never 0, since "0" tells a client to
+// retry at once.
+func TestRetryAfterRoundsUp(t *testing.T) {
+	for _, tc := range []struct {
+		retryAfter time.Duration
+		want       string
+	}{
+		{200 * time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{7 * time.Second, "7"},
+	} {
+		t.Run(tc.retryAfter.String(), func(t *testing.T) {
+			gate := make(chan struct{})
+			srv, err := New(Config{
+				Workers:    1,
+				QueueDepth: 1,
+				CacheDir:   t.TempDir(),
+				RetryAfter: tc.retryAfter,
+				gate:       gate,
+			})
+			if err != nil {
+				t.Fatalf("New: %v", err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer func() {
+				// Cancel the held job before releasing it, so it ends at
+				// once instead of simulating.
+				srv.cancelAll()
+				close(gate)
+				if err := srv.Close(); err != nil {
+					t.Errorf("Close: %v", err)
+				}
+			}()
+
+			// A holds the worker at the gate, B fills the queue, C is shed.
+			for i, body := range []string{
+				`{"benchmark": "art", "policy": "hyb", "instructions": 100000, "scale": "smoke"}`,
+				`{"benchmark": "gcc", "policy": "dvs", "instructions": 100000, "scale": "smoke"}`,
+			} {
+				resp, data := do(t, http.MethodPost, ts.URL+"/v1/jobs", body)
+				if resp.StatusCode != http.StatusAccepted {
+					t.Fatalf("submit %d: HTTP %d: %s", i+1, resp.StatusCode, data)
+				}
+				if i == 0 {
+					pollState(t, ts.URL, "j-000001", StateRunning)
+				}
+			}
+			resp, data := do(t, http.MethodPost, ts.URL+"/v1/jobs",
+				`{"benchmark": "gzip", "policy": "fg", "instructions": 100000, "scale": "smoke"}`)
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("third submit: HTTP %d, want 429: %s", resp.StatusCode, data)
+			}
+			if got := resp.Header.Get("Retry-After"); got != tc.want {
+				t.Errorf("Retry-After = %q for %v, want %q", got, tc.retryAfter, tc.want)
+			}
+		})
 	}
 }

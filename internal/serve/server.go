@@ -11,9 +11,6 @@
 //	GET  /v1/jobs/{id}         job status
 //	GET  /v1/jobs/{id}/result  the measurement (409 until done, 404 unknown)
 //	GET  /v1/jobs/{id}/trace   the run's JSONL event stream (jobs submitted with "trace": true)
-//	GET  /v1/jobs/{id}/spans   the job's lifecycle spans as JSONL (servers with Spans enabled)
-//	GET  /v1/dashboard         live HTML dashboard: jobs, occupancy, histograms, thermal timelines
-//	GET  /v1/dashboard/stream  SSE stream of the dashboard state (text/event-stream)
 //	GET  /healthz              liveness + occupancy/uptime (503 while draining)
 //	GET  /metrics              the obs registry (text; /metrics.prom for Prometheus)
 //
@@ -70,22 +67,6 @@ type Config struct {
 	Metrics *obs.Registry
 	// Logger, when non-nil, receives structured request/job logs.
 	Logger *slog.Logger
-	// Spans enables per-job lifecycle span tracing and the per-job event
-	// ring buffers behind the dashboard's thermal timelines. Off by
-	// default: the hot path then pays nothing beyond the always-on
-	// histogram atomics, preserving the zero-allocation loop contract.
-	Spans bool
-	// DashboardEvents bounds each running job's in-memory event ring when
-	// Spans is enabled. Default: 512.
-	DashboardEvents int
-	// DashboardHistory bounds how many finished jobs keep their event ring
-	// for the dashboard's "recently finished" timelines (FIFO eviction).
-	// Default: 8.
-	DashboardHistory int
-	// StageProfile attaches a per-stage coupled-loop profiler to every
-	// executed job, publishing sim.stage.<name>_ns/_frac gauges into the
-	// registry after each run (last job wins, like any gauge).
-	StageProfile bool
 
 	// gate, when non-nil, is received from once per dequeued job, after it
 	// turns "running" and before it executes. In-package tests use it to
@@ -110,12 +91,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
-	if c.DashboardEvents <= 0 {
-		c.DashboardEvents = 512
-	}
-	if c.DashboardHistory <= 0 {
-		c.DashboardHistory = defaultDashboardHistory
-	}
 	return c
 }
 
@@ -134,17 +109,6 @@ type job struct {
 	started     time.Time               // guarded-by: Server.mu
 	finished    time.Time               // guarded-by: Server.mu
 	done        chan struct{}
-
-	// spans traces the job's lifecycle stages (nil unless Config.Spans).
-	spans *obs.SpanSet
-	// responded is closed once the submitting handler has recorded the
-	// respond span (nil unless Config.Spans and the job queued). The
-	// worker waits on it before stamping started, so respond always
-	// closes before queue_wait does.
-	responded chan struct{}
-	// ring retains the tail of the run's event stream for the dashboard
-	// (nil unless Config.Spans; evicted FIFO once the job is done).
-	ring *obs.Ring
 }
 
 // Server executes simulation jobs. Construct with New (which starts the
@@ -176,14 +140,6 @@ type Server struct {
 	byKey    map[string]*job // guarded-by: mu
 	seq      int             // guarded-by: mu
 	draining bool            // guarded-by: mu
-	// doneRings lists jobs whose ring survived completion, oldest first,
-	// so recently finished timelines linger on the dashboard without
-	// retaining every ring forever.
-	doneRings []string // guarded-by: mu
-
-	// lastProfile is the most recent job's stage attribution (nil until a
-	// StageProfile-enabled job finishes).
-	lastProfile *obs.StageProfile // guarded-by: mu
 
 	queue chan *job
 	wg    sync.WaitGroup
@@ -198,11 +154,6 @@ type Server struct {
 	traceTTFB  *obs.Histogram // serve.trace_ttfb_s
 	respBytes  *obs.Histogram // serve.response_bytes
 }
-
-// defaultDashboardHistory is the default Config.DashboardHistory: how
-// many finished jobs keep their event ring for the dashboard's "recently
-// finished" timelines.
-const defaultDashboardHistory = 8
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) (*Server, error) {
@@ -240,20 +191,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Metrics returns the server's registry.
-func (s *Server) Metrics() *obs.Registry { return s.reg }
-
-// StageProfileDoc returns the most recent job's stage attribution
-// document, with ok=false until a StageProfile-enabled job has run.
-func (s *Server) StageProfileDoc() (obs.StageProfile, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lastProfile == nil {
-		return obs.StageProfile{}, false
-	}
-	return *s.lastProfile, true
-}
-
 // Cache returns the persistent result cache.
 func (s *Server) Cache() *Cache { return s.cache }
 
@@ -278,10 +215,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 				j.state = StateCanceled
 				j.errMsg = "server shutting down before job started"
 				j.finished = s.now()
-				if j.spans != nil {
-					j.spans.End("queue_wait", j.finished)
-					j.spans.End("job", j.finished)
-				}
 				canceled.Inc()
 				close(j.done)
 			default:
@@ -320,9 +253,6 @@ func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
 		s.queueDepth.Add(-1)
-		if j.responded != nil {
-			<-j.responded
-		}
 		s.mu.Lock()
 		// A job can land here after Shutdown flipped draining but before
 		// the drain loop swallowed it; honor the cancel contract.
@@ -330,10 +260,6 @@ func (s *Server) worker() {
 			j.state = StateCanceled
 			j.errMsg = "server shutting down before job started"
 			j.finished = s.now()
-			if j.spans != nil {
-				j.spans.End("queue_wait", j.finished)
-				j.spans.End("job", j.finished)
-			}
 			s.mu.Unlock()
 			s.reg.Counter(obs.MetricServeCanceled).Inc()
 			close(j.done)
@@ -341,10 +267,6 @@ func (s *Server) worker() {
 		}
 		j.state = StateRunning
 		j.started = s.now()
-		if j.spans != nil {
-			j.spans.End("queue_wait", j.started)
-			j.spans.Begin("run", "job", j.started)
-		}
 		s.mu.Unlock()
 		s.queueWait.Observe(j.started.Sub(j.submitted).Seconds()) //dtmlint:allow lockcheck this worker just wrote started; submitted is frozen at enqueue
 		if s.cfg.gate != nil {
@@ -387,18 +309,15 @@ func (s *Server) runnerFor(cfg core.Config, insts uint64) (*experiments.Runner, 
 	return r, nil
 }
 
-// execute runs one job to a terminal state and persists its artifacts.
-// The run/persist span boundary sits between the two: simulate covers
-// the simulation (plus the trace artifact, which is the run's output),
-// persist covers the cache entry write. Both happen before the job is
-// visible as done — a crash between them leaves only a recomputable
-// miss, never a dangling done job.
+// execute runs one job to a terminal state and persists its artifacts:
+// simulate covers the simulation (plus the trace artifact, which is the
+// run's output), persist the cache entry write. Both happen before the
+// job is visible as done — a crash between them leaves only a
+// recomputable miss, never a dangling done job.
 func (s *Server) execute(j *job) {
 	m, err := s.simulate(j)
-	runEnd := s.now()
-	s.runSecs.Observe(runEnd.Sub(j.started).Seconds()) //dtmlint:allow lockcheck started is written once by this worker before execute and stable for the run
-	persisted := err == nil
-	if persisted {
+	s.runSecs.Observe(s.now().Sub(j.started).Seconds()) //dtmlint:allow lockcheck started is written once by this worker before execute and stable for the run
+	if err == nil {
 		err = s.persist(j, m)
 	}
 	s.mu.Lock()
@@ -409,25 +328,6 @@ func (s *Server) execute(j *job) {
 	} else {
 		j.state = StateDone
 		j.measurement = m
-	}
-	if j.spans != nil {
-		j.spans.End("run", runEnd)
-		if persisted {
-			j.spans.Record("persist", "job", runEnd, j.finished)
-		}
-		j.spans.End("job", j.finished)
-	}
-	if j.ring != nil {
-		// Keep the ring so the dashboard shows recently finished
-		// timelines, but only the newest DashboardHistory of them.
-		s.doneRings = append(s.doneRings, j.id)
-		if len(s.doneRings) > s.cfg.DashboardHistory {
-			oldest := s.doneRings[0]
-			s.doneRings = s.doneRings[1:]
-			if oj, ok := s.jobs[oldest]; ok {
-				oj.ring = nil
-			}
-		}
 	}
 	latency := j.finished.Sub(j.submitted).Seconds()
 	s.mu.Unlock()
@@ -451,8 +351,7 @@ func (s *Server) execute(j *job) {
 // simulate executes the job's simulation, including writing the trace
 // artifact into the cache when requested (the trace is the run's output
 // stream, so it belongs to the run stage; the measurement cache entry is
-// execute's persist stage). With Spans enabled the run is additionally
-// observed through an in-memory ring for the dashboard.
+// execute's persist stage).
 func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 	cfg, prof, factory, err := j.cfg.Resolve()
 	if err != nil {
@@ -463,30 +362,6 @@ func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 		return experiments.Measurement{}, err
 	}
 
-	if s.cfg.Spans {
-		ring := obs.NewRing(s.cfg.DashboardEvents)
-		s.mu.Lock()
-		j.ring = ring
-		s.mu.Unlock()
-		cfg.Tracer = ring
-	}
-
-	// Each job gets its own profiler (a StageProfiler serves one run);
-	// the finished attribution lands in the shared registry, so the
-	// dashboard and /metrics track the most recent job's stage split.
-	var sp *obs.StageProfiler
-	if s.cfg.StageProfile {
-		sp = obs.NewStageProfiler()
-		cfg.Profiler = sp
-		defer func() {
-			doc := sp.Profile("dtmserve", j.cfg.Benchmark, j.cfg.Policy)
-			sp.Publish(s.reg)
-			s.mu.Lock()
-			s.lastProfile = &doc
-			s.mu.Unlock()
-		}()
-	}
-
 	var traceFile *os.File
 	var sink *obs.JSONL
 	if j.cfg.Trace {
@@ -495,7 +370,7 @@ func (s *Server) simulate(j *job) (experiments.Measurement, error) {
 		}
 		defer os.Remove(traceFile.Name()) // no-op once renamed into place
 		sink = obs.NewJSONL(traceFile)
-		cfg.Tracer = obs.Combine(sink, cfg.Tracer)
+		cfg.Tracer = sink
 	}
 
 	ms, err := runner.RunJobs(s.baseCtx, []experiments.Job{{Config: cfg, Profile: prof, Factory: factory}})
@@ -607,9 +482,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/spans", s.handleSpans)
-	mux.HandleFunc("GET /v1/dashboard", s.handleDashboard)
-	mux.HandleFunc("GET /v1/dashboard/stream", s.handleDashboardStream)
 	mux.HandleFunc("GET /healthz", s.handleHealth)
 	mux.Handle("GET /metrics", s.reg.Handler())
 	mux.Handle("GET /metrics.prom", s.reg.Handler())
@@ -620,8 +492,7 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// countingWriter counts response body bytes. It forwards Flush so
-// streaming handlers (SSE, trace) keep working through the wrapper.
+// countingWriter counts response body bytes.
 type countingWriter struct {
 	http.ResponseWriter
 	n int64
@@ -633,20 +504,7 @@ func (cw *countingWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-func (cw *countingWriter) Flush() {
-	if f, ok := cw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Span timestamps are only taken when tracing is on, so a spans-off
-	// server consumes no extra clock reads per submission (the frozen
-	// test clock steps once per read — goldens depend on the budget).
-	var tReq, tVal time.Time
-	if s.cfg.Spans {
-		tReq = s.now()
-	}
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -668,41 +526,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_config", err.Error())
 		return
 	}
-	if s.cfg.Spans {
-		tVal = s.now()
-	}
 
-	resp, status, apiErr := s.submit(jc, key, tReq, tVal)
+	resp, status, apiErr := s.submit(jc, key)
 	if apiErr != nil {
 		if apiErr.Code == "queue_full" {
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())))
+			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
 		}
 		writeError(w, status, apiErr.Code, apiErr.Message)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+resp.ID)
 	writeJSON(w, status, resp)
-	if s.cfg.Spans && !resp.Deduped {
-		// The respond stage closes after the response bytes are written.
-		// Deduped submissions ride the original job's spans untouched.
-		tResp := s.now()
-		s.mu.Lock()
-		if j, ok := s.jobs[resp.ID]; ok && j.spans != nil {
-			j.spans.Record("respond", "submit", j.submitted, tResp)
-			if j.responded != nil {
-				close(j.responded)
-			}
-		}
-		s.mu.Unlock()
+}
+
+// retryAfterSeconds renders a backoff as a Retry-After value: whole
+// seconds rounded up, at least 1, since "0" tells a client to retry at
+// once.
+func retryAfterSeconds(d time.Duration) string {
+	secs := (d + time.Second - 1) / time.Second
+	if secs < 1 {
+		secs = 1
 	}
+	return strconv.FormatInt(int64(secs), 10)
 }
 
 // submit registers one submission: dedup against live jobs, then the
 // persistent cache, then the bounded queue. Returns the response, HTTP
 // status, and a non-nil apiError when the submission was not accepted.
-// tReq/tVal are the request-received and post-validation instants; both
-// are zero with span tracing off, which disables span creation.
-func (s *Server) submit(jc JobConfig, key string, tReq, tVal time.Time) (submitResponse, int, *apiError) {
+func (s *Server) submit(jc JobConfig, key string) (submitResponse, int, *apiError) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
@@ -722,37 +573,14 @@ func (s *Server) submit(jc JobConfig, key string, tReq, tVal time.Time) (submitR
 		j.cached = true
 		j.measurement = entry.Measurement
 		j.finished = j.submitted
-		if !tReq.IsZero() {
-			// A cache hit never queues or runs; its lifecycle collapses to
-			// submit/validate/lookup (plus the respond stage the handler
-			// records after writing the response).
-			j.spans = obs.NewSpanSet(key, tReq)
-			j.spans.Begin("job", "", tReq)
-			j.spans.Record("submit", "job", tReq, j.submitted)
-			j.spans.Record("validate", "submit", tReq, tVal)
-			j.spans.Record("lookup", "submit", tVal, j.submitted)
-			j.spans.End("job", j.finished)
-		}
 		close(j.done)
 		s.reg.Counter(obs.MetricServeCacheHits).Inc()
 		return submitResponse{ID: j.id, Key: key, State: StateDone, Cached: true}, http.StatusOK, nil
 	}
 	j := s.newJobLocked(jc, key)
-	if !tReq.IsZero() {
-		// Set before the send, which publishes j to the worker.
-		j.responded = make(chan struct{})
-	}
 	select {
 	case s.queue <- j:
 		s.queueDepth.Add(1)
-		if !tReq.IsZero() {
-			j.spans = obs.NewSpanSet(key, tReq)
-			j.spans.Begin("job", "", tReq)
-			j.spans.Record("submit", "job", tReq, j.submitted)
-			j.spans.Record("validate", "submit", tReq, tVal)
-			j.spans.Record("lookup", "submit", tVal, j.submitted)
-			j.spans.Begin("queue_wait", "job", j.submitted)
-		}
 		s.reg.Counter(obs.MetricServeCacheMisses).Inc()
 		return submitResponse{ID: j.id, Key: key, State: StateQueued}, http.StatusAccepted, nil
 	default:
@@ -916,33 +744,6 @@ func (fw *firstByteWriter) Write(b []byte) (int, error) {
 	return fw.w.Write(b)
 }
 
-// handleSpans streams a job's lifecycle spans as JSONL, in creation
-// order. 404s with spans_disabled on servers running without Spans.
-func (s *Server) handleSpans(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	var spans []obs.Span
-	if j.spans != nil {
-		spans = j.spans.Spans()
-	}
-	s.mu.Unlock()
-	if spans == nil {
-		writeError(w, http.StatusNotFound, "spans_disabled",
-			"this server runs without span tracing (start dtmserve with -spans)")
-		return
-	}
-	var buf []byte
-	for _, sp := range spans {
-		buf = sp.AppendJSONL(buf)
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf) //dtmlint:allow errsink response stream; delivery failures are the client's
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// Monotonic by construction: sinceStart reads elapsed time, not the
 	// wall clock, so a stepped system clock cannot move uptime backwards.
@@ -974,8 +775,8 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // WaitJob blocks until the job reaches a terminal state or ctx expires;
-// it exists for in-process drivers (loadgen, tests) that would otherwise
-// poll their own server over HTTP.
+// it lets in-process callers such as tests wait without polling their
+// own server over HTTP.
 func (s *Server) WaitJob(ctx context.Context, id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

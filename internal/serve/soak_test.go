@@ -8,9 +8,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -20,6 +23,7 @@ import (
 
 	"hybriddtm/internal/core"
 	"hybriddtm/internal/obs"
+	"hybriddtm/internal/trace"
 )
 
 // soakTotal and soakClients match the service-level claim in EXPERIMENTS
@@ -30,8 +34,88 @@ const (
 	soakMix     = 24
 )
 
+// soakJobs walks the benchmark × policy grid for n configs at smoke
+// scale, with every tenth one traced: n distinct keys, one baseline
+// family.
+func soakJobs(n int) []JobConfig {
+	benches := trace.BenchmarkNames()
+	policies := []string{"hyb", "dvs", "fg", "pi-hyb", "clockgate", "fg-fixed"}
+	out := make([]JobConfig, n)
+	for i := range out {
+		out[i] = JobConfig{
+			Benchmark:    benches[i%len(benches)],
+			Policy:       policies[(i/len(benches))%len(policies)],
+			Instructions: 100_000,
+			Scale:        ScaleSmoke,
+			Trace:        i%10 == 0,
+		}.Normalize()
+	}
+	return out
+}
+
+// soakSubmit posts one config, retrying after each 429, then polls the
+// job until it reaches a terminal state. It returns that state and how
+// many 429s it absorbed.
+func soakSubmit(ctx context.Context, client *http.Client, base string, body []byte) (string, int, error) {
+	rejected := 0
+	var sub submitResponse
+	for {
+		resp, err := client.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return "", rejected, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return "", rejected, err
+		}
+		if resp.StatusCode == http.StatusTooManyRequests {
+			rejected++
+			if err := soakSleep(ctx, 20*time.Millisecond); err != nil {
+				return "", rejected, err
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
+			return "", rejected, fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, data)
+		}
+		if err := json.Unmarshal(data, &sub); err != nil {
+			return "", rejected, err
+		}
+		break
+	}
+	state := sub.State
+	for poll := 5 * time.Millisecond; state == StateQueued || state == StateRunning; {
+		if err := soakSleep(ctx, poll); err != nil {
+			return "", rejected, err
+		}
+		poll = min(2*poll, 100*time.Millisecond)
+		resp, err := client.Get(base + "/v1/jobs/" + sub.ID)
+		if err != nil {
+			return "", rejected, err
+		}
+		var st statusResponse
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			return "", rejected, fmt.Errorf("status %s: %w", sub.ID, err)
+		}
+		state = st.State
+	}
+	return state, rejected, nil
+}
+
+func soakSleep(ctx context.Context, d time.Duration) error {
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 func TestSoakConcurrentMixedLoad(t *testing.T) {
-	jobs := DefaultMix(soakMix, 100_000, ScaleSmoke)
+	jobs := soakJobs(soakMix)
 
 	reg := obs.NewRegistry()
 	srv, err := New(Config{
@@ -40,7 +124,6 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		CacheDir:   t.TempDir(),
 		RetryAfter: time.Second,
 		Metrics:    reg,
-		Spans:      true, // rings + spans live while scrapers read them
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -58,13 +141,12 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 8*time.Minute)
 	defer cancel()
 
-	// Observability scrapers run concurrently with the load: /metrics,
-	// the Prometheus exposition, and the dashboard (which snapshots the
-	// live per-job event rings while workers emit into them). Under -race
-	// this is the proof that scraping never tears the serving path.
+	// Observability scrapers run concurrently with the load: /metrics and
+	// the Prometheus exposition. Under -race this is the proof that
+	// scraping never tears the serving path.
 	scrapeCtx, stopScrapes := context.WithCancel(ctx)
 	var scrapes sync.WaitGroup
-	for _, path := range []string{"/metrics", "/metrics.prom", "/v1/dashboard"} {
+	for _, path := range []string{"/metrics", "/metrics.prom"} {
 		scrapes.Add(1)
 		go func(path string) {
 			defer scrapes.Done()
@@ -84,26 +166,67 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		}(path)
 	}
 
-	report, err := Replay(ctx, LoadSpec{
-		BaseURL: ts.URL,
-		Jobs:    jobs,
-		Total:   soakTotal,
-		Clients: soakClients,
-		Client:  ts.Client(),
-	})
+	// Submission i sends jobs[i%soakMix], so every config is submitted
+	// many times over; soakClients clients share the submissions.
+	bodies := make([][]byte, len(jobs))
+	keys := map[string]bool{}
+	for i, jc := range jobs {
+		key, err := jc.Key()
+		if err != nil {
+			t.Fatalf("Key: %v", err)
+		}
+		keys[key] = true
+		if bodies[i], err = json.Marshal(jc); err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+	}
+	if len(keys) != soakMix {
+		t.Fatalf("mix has %d distinct keys, want %d", len(keys), soakMix)
+	}
+	var (
+		mu       sync.Mutex
+		tally    struct{ completed, failed, rejected int }
+		firstErr error
+		clients  sync.WaitGroup
+	)
+	next := make(chan int)
+	for c := 0; c < soakClients; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for i := range next {
+				state, rejected, err := soakSubmit(ctx, ts.Client(), ts.URL, bodies[i%len(bodies)])
+				mu.Lock()
+				tally.rejected += rejected
+				switch {
+				case err != nil:
+					if firstErr == nil {
+						firstErr = err
+					}
+				case state == StateDone:
+					tally.completed++
+				default:
+					tally.failed++
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	for i := 0; i < soakTotal; i++ {
+		next <- i
+	}
+	close(next)
+	clients.Wait()
 	stopScrapes()
 	scrapes.Wait()
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
+	if firstErr != nil {
+		t.Fatalf("client: %v", firstErr)
 	}
 
 	// Service-level: everything submitted completed.
-	if report.Completed != soakTotal || report.Failed != 0 {
+	if tally.completed != soakTotal || tally.failed != 0 {
 		t.Fatalf("completed %d, failed %d; want %d completed, 0 failed",
-			report.Completed, report.Failed, soakTotal)
-	}
-	if report.Distinct != soakMix {
-		t.Fatalf("mix has %d distinct keys, want %d", report.Distinct, soakMix)
+			tally.completed, tally.failed, soakTotal)
 	}
 
 	// The counters must prove exactly-once simulation: one cache miss and
@@ -132,9 +255,9 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		t.Errorf("failed %d, canceled %d; want 0, 0",
 			counters[obs.MetricServeFailed], counters[obs.MetricServeCanceled])
 	}
-	if report.Rejected != int(counters[obs.MetricServeRejected]) {
-		t.Errorf("client saw %d rejections, server counted %d",
-			report.Rejected, counters[obs.MetricServeRejected])
+	if tally.rejected != int(counters[obs.MetricServeRejected]) {
+		t.Errorf("clients saw %d rejections, server counted %d",
+			tally.rejected, counters[obs.MetricServeRejected])
 	}
 
 	// The lifecycle histograms must agree with the exactly-once ledger:
@@ -144,10 +267,6 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 		if got := reg.Histogram(name).Count(); got != int64(soakMix) {
 			t.Errorf("%s count = %d, want %d (one sample per executed job)", name, got, soakMix)
 		}
-	}
-	if report.LatencySamples != report.Completed {
-		t.Errorf("latency percentiles backed by %d samples, want %d completions",
-			report.LatencySamples, report.Completed)
 	}
 
 	// Results must be byte-identical to solo runs of the same configs
