@@ -34,11 +34,10 @@ func traceFixture() (obs.Meta, []obs.Event) {
 	return meta, evs
 }
 
-// TestReadTraceMatchesDirectFold pins ReadTrace's mapping from JSONL
-// records back onto obs.Event: the fixture routed through the JSONL sink
-// and read back must summarize exactly as folding the events directly,
-// and the summary must count every aggregation bucket the fixture hits.
-func TestReadTraceMatchesDirectFold(t *testing.T) {
+// readFixture routes the fixture through the JSONL sink and reads it
+// back with ReadTrace.
+func readFixture(t *testing.T) (obs.Meta, []obs.Event, TraceSummary) {
+	t.Helper()
 	meta, evs := traceFixture()
 
 	var buf bytes.Buffer
@@ -55,6 +54,14 @@ func TestReadTraceMatchesDirectFold(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadTrace: %v", err)
 	}
+	return meta, evs, batch
+}
+
+// TestReadTraceMatchesDirectFold pins ReadTrace's mapping from JSONL
+// records back onto obs.Event: the fixture routed through the JSONL sink
+// and read back must summarize exactly as folding the events directly.
+func TestReadTraceMatchesDirectFold(t *testing.T) {
+	meta, evs, batch := readFixture(t)
 
 	direct := TraceSummary{
 		File:      "t.jsonl",
@@ -70,7 +77,13 @@ func TestReadTraceMatchesDirectFold(t *testing.T) {
 	if !reflect.DeepEqual(batch, direct) {
 		t.Errorf("ReadTrace diverged from the direct fold:\nread:   %+v\ndirect: %+v", batch, direct)
 	}
+}
 
+// TestReadTraceCounts checks that the summary of the fixture read back
+// by ReadTrace counts every aggregation bucket the fixture hits and
+// draws both timeline charts.
+func TestReadTraceCounts(t *testing.T) {
+	_, evs, batch := readFixture(t)
 	if batch.Events != int64(len(evs)) {
 		t.Errorf("Events = %d, want %d", batch.Events, len(evs))
 	}
