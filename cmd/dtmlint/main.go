@@ -1,7 +1,7 @@
 // Command dtmlint is the repository's domain linter: a multichecker over
-// the seven dtmlint analyzers (detguard, floatzone, unitcheck, tracegate,
-// errsink, allocguard, lockcheck — see internal/analysis/... and
-// DESIGN.md "Static analysis").
+// the three dtmlint analyzers (errsink, floatzone, lockcheck — see
+// internal/analysis/... and DESIGN.md "Static analysis"), the checks
+// that no runtime test makes.
 //
 //	dtmlint ./...
 //
@@ -17,22 +17,14 @@ import (
 	"strings"
 
 	"hybriddtm/internal/analysis"
-	"hybriddtm/internal/analysis/allocguard"
-	"hybriddtm/internal/analysis/detguard"
 	"hybriddtm/internal/analysis/errsink"
 	"hybriddtm/internal/analysis/floatzone"
 	"hybriddtm/internal/analysis/lockcheck"
-	"hybriddtm/internal/analysis/tracegate"
-	"hybriddtm/internal/analysis/unitcheck"
 )
 
 var analyzers = []*analysis.Analyzer{
-	detguard.Analyzer,
-	floatzone.Analyzer,
-	unitcheck.Analyzer,
-	tracegate.Analyzer,
 	errsink.Analyzer,
-	allocguard.Analyzer,
+	floatzone.Analyzer,
 	lockcheck.Analyzer,
 }
 

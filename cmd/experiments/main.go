@@ -134,7 +134,7 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now() //dtmlint:allow detguard wall-clock suite duration for the run manifest
+	start := time.Now() // wall-clock suite duration for the run manifest
 	doc := report.NewResults("experiments")
 
 	// Every wanted section declares its rows on one plan, which runs as one
@@ -200,7 +200,7 @@ func run(ctx context.Context) error {
 			fmt.Println(res)
 		}
 	}
-	elapsed := time.Since(start) //dtmlint:allow detguard wall-clock suite duration for the run manifest
+	elapsed := time.Since(start) // wall-clock suite duration for the run manifest
 	var outputs []string
 	if *out != "" {
 		if err := doc.WriteFile(*out); err != nil {
@@ -336,13 +336,13 @@ func measureCPUInstsPerSec() (float64, error) {
 	}
 	const cycles, chunk = 10_000_000, 10_000
 	var act cpu.Activity
-	begin := time.Now() //dtmlint:allow detguard wall-clock timing of the perf micro-workload
+	begin := time.Now() // wall-clock timing of the perf micro-workload
 	for done := 0; done < cycles; done += chunk {
 		if _, err := c.Run(chunk, 0, &act); err != nil {
 			return 0, err
 		}
 	}
-	secs := time.Since(begin).Seconds() //dtmlint:allow detguard wall-clock timing of the perf micro-workload
+	secs := time.Since(begin).Seconds() // wall-clock timing of the perf micro-workload
 	if secs <= 0 {
 		return 0, nil
 	}
@@ -370,13 +370,13 @@ func measureThermalCellsPerSec() (float64, error) {
 		return 0, err
 	}
 	const iters = 2000
-	begin := time.Now() //dtmlint:allow detguard wall-clock timing of the perf micro-workload
+	begin := time.Now() // wall-clock timing of the perf micro-workload
 	for i := 0; i < iters; i++ {
 		if err := g.SteadyStateInto(dst, p); err != nil {
 			return 0, err
 		}
 	}
-	secs := time.Since(begin).Seconds() //dtmlint:allow detguard wall-clock timing of the perf micro-workload
+	secs := time.Since(begin).Seconds() // wall-clock timing of the perf micro-workload
 	if secs <= 0 {
 		return 0, nil
 	}

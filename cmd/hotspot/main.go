@@ -87,7 +87,7 @@ func run() error {
 	for i := range p {
 		p[i] = *total * fp.Block(i).Rect.Area() / die
 	}
-	//dtmlint:allow detguard each name maps to a distinct block index, so the adds commute
+	// each name maps to a distinct block index, so the adds commute
 	for name, w := range extra {
 		i := fp.Index(name)
 		if i < 0 {

@@ -24,7 +24,7 @@ func buildDtmlint(t *testing.T) string {
 
 // TestDtmlintCLI checks the standalone driver: exit 0 with no output on
 // the real tree, exit 1 with a located finding on a module that plants a
-// detguard violation, and exit 0 again once the violation carries a
+// lockcheck violation, and exit 0 again once the violation carries a
 // //dtmlint:allow annotation.
 func TestDtmlintCLI(t *testing.T) {
 	if testing.Short() {
@@ -44,12 +44,7 @@ func TestDtmlintCLI(t *testing.T) {
 	})
 
 	t.Run("planted-violation", func(t *testing.T) {
-		dir := plantModule(t, `package core
-
-import "time"
-
-func Stamp() int64 { return time.Now().UnixNano() }
-`)
+		dir := plantModule(t, boxSrc+"func Peek(b *Box) int { return b.n }\n")
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
@@ -57,20 +52,13 @@ func Stamp() int64 { return time.Now().UnixNano() }
 		if !ok || exit.ExitCode() != 1 {
 			t.Fatalf("dtmlint on planted violation: err=%v (want exit 1)\n%s", err, out)
 		}
-		if !strings.Contains(string(out), "detguard") || !strings.Contains(string(out), "clock.go:5") {
-			t.Errorf("finding not located at clock.go:5:\n%s", out)
+		if !strings.Contains(string(out), "lockcheck") || !strings.Contains(string(out), "box.go:10") {
+			t.Errorf("finding not located at box.go:10:\n%s", out)
 		}
 	})
 
 	t.Run("allow-suppresses", func(t *testing.T) {
-		dir := plantModule(t, `package core
-
-import "time"
-
-func Stamp() int64 {
-	return time.Now().UnixNano() //dtmlint:allow detguard provenance stamp, not simulation state
-}
-`)
+		dir := plantModule(t, boxSrc+"func Peek(b *Box) int { return b.n } //dtmlint:allow lockcheck a racy peek is fine for a progress hint\n")
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -79,122 +67,78 @@ func Stamp() int64 {
 	})
 }
 
-// TestDtmlintAllocguardPlant copies the working tree, plants
-// fmt.Sprintf calls on and off the allocation-free paths, and checks
-// what dtmlint reports. A plant inside power.Compute — a
-// //dtmlint:allocfree root backed by TestComputeAllocationFree — must be
-// reported at its file:line, which proves the real annotation is present
-// and load-bearing, not just that the analyzer works on fixtures. A
-// plant in core's finish, which carries no annotation but is called
-// from the step root, must be reported with that root named. A plant
-// in core's start, reached only through RunContext's allow-annotated
-// call, must not be reported.
-func TestDtmlintAllocguardPlant(t *testing.T) {
+// TestDtmlintPlants plants each analyzer's failure in a copy of the real
+// tree and checks that dtmlint reports it at the planted line. Each row
+// is its analyzer's named check: tier-1 and go test -race pass with the
+// plant in place, so only dtmlint reports it (DESIGN.md "Static
+// analysis" lists what each run reported). The line that must be
+// reported carries a "// planted" marker.
+func TestDtmlintPlants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds dtmlint and type-checks a copied tree")
 	}
 	bin := buildDtmlint(t)
 	dir := copyTree(t)
-
-	powerLoc := plantAfter(t, filepath.Join(dir, "internal", "power", "power.go"), "dst = dst[:n]")
-	corePath := filepath.Join(dir, "internal", "core", "core.go")
-	finishLoc := plantAfter(t, corePath, "func (s *Simulator) finish() {")
-	startLoc := plantAfter(t, corePath, "func (s *Simulator) start(ctx context.Context) error {")
-	if startLoc < finishLoc {
-		finishLoc++ // the start plant sits above finish's and shifts it down
-	}
-
-	lint := func(t *testing.T, pkg string) string {
-		t.Helper()
-		cmd := exec.Command(bin, pkg)
-		cmd.Dir = dir
-		out, err := cmd.CombinedOutput()
-		exit, ok := err.(*exec.ExitError)
-		if !ok || exit.ExitCode() != 1 {
-			t.Fatalf("dtmlint %s on planted allocations: err=%v (want exit 1)\n%s", pkg, err, out)
-		}
-		return string(out)
-	}
-
-	t.Run("standalone", func(t *testing.T) {
-		out := lint(t, "./internal/power")
-		want := fmt.Sprintf("power.go:%d", powerLoc)
-		if !strings.Contains(out, "allocguard") || !strings.Contains(out, want) {
-			t.Errorf("allocguard finding not located at %s:\n%s", want, out)
-		}
-	})
-
-	t.Run("transitive", func(t *testing.T) {
-		out := lint(t, "./internal/core")
-		var finish, start []string
-		for _, l := range strings.Split(out, "\n") {
-			if strings.Contains(l, fmt.Sprintf("core.go:%d:", finishLoc)) {
-				finish = append(finish, l)
+	for _, tc := range []struct {
+		name, analyzer, file, old, new string
+	}{
+		// A handler reads job state without the server lock.
+		{"lockcheck-serve", "lockcheck", "internal/serve/server.go",
+			"\ts.mu.Lock()\n\tresp := s.statusLocked(j)\n\ts.mu.Unlock()\n",
+			"\tresp := s.statusLocked(j) // planted\n"},
+		// The t-distribution's continued fraction stops on exact equality.
+		{"floatzone-betacf", "floatzone", "internal/stats/stats.go",
+			"\t\tif math.Abs(del-1) < eps {\n",
+			"\t\tif del == 1 { // planted\n"},
+		// The result cache drops the Close error of a written entry.
+		{"errsink-cache", "errsink", "internal/serve/cache.go",
+			"\tif err := tmp.Close(); err != nil {\n\t\tos.Remove(name)\n\t\treturn fmt.Errorf(\"serve: cache write: %w\", err)\n\t}\n",
+			"\ttmp.Close() // planted\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.file)
+			line := plant(t, path, tc.old, tc.new)
+			cmd := exec.Command(bin, "./"+filepath.Dir(tc.file))
+			cmd.Dir = dir
+			out, err := cmd.CombinedOutput()
+			exit, ok := err.(*exec.ExitError)
+			if !ok || exit.ExitCode() != 1 {
+				t.Fatalf("dtmlint on the plant: err=%v (want exit 1)\n%s", err, out)
 			}
-			if strings.Contains(l, fmt.Sprintf("core.go:%d:", startLoc)) {
-				start = append(start, l)
+			want := fmt.Sprintf("%s:%d:", filepath.Base(tc.file), line)
+			for _, l := range strings.Split(string(out), "\n") {
+				if strings.Contains(l, want) && strings.HasSuffix(l, "("+tc.analyzer+")") {
+					return
+				}
 			}
-		}
-		if len(finish) != 1 || !strings.Contains(finish[0], "(root (*Simulator).step)") {
-			t.Errorf("want one finding at core.go:%d naming root (*Simulator).step:\n%s", finishLoc, out)
-		}
-		if len(start) != 0 {
-			t.Errorf("plant behind the allow-annotated call edge was reported:\n%s", strings.Join(start, "\n"))
-		}
-	})
+			t.Errorf("no %s finding at %s:\n%s", tc.analyzer, want, out)
+		})
+	}
 }
 
-// plantAfter inserts a fmt.Sprintf statement on the line after the first
-// line of path containing marker and returns the statement's 1-based
-// line number.
-func plantAfter(t *testing.T, path, marker string) int {
+// plant replaces the one occurrence of old in path with new, registers
+// the original content's restoration, and returns the 1-based line of
+// the "// planted" marker.
+func plant(t *testing.T, path, old, new string) int {
 	t.Helper()
 	src, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(string(src), "\n")
-	for i, l := range lines {
-		if strings.Contains(l, marker) {
-			lines = append(lines[:i+1], append([]string{`	_ = fmt.Sprintf("planted %d", 1)`}, lines[i+1:]...)...)
-			if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			return i + 2
+	if n := strings.Count(string(src), old); n != 1 {
+		t.Fatalf("plant site found %d times in %s", n, path)
+	}
+	planted := strings.Replace(string(src), old, new, 1)
+	if err := os.WriteFile(path, []byte(planted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.WriteFile(path, src, 0o644); err != nil {
+			t.Error(err)
 		}
-	}
-	t.Fatalf("marker %q not found in %s", marker, path)
-	return 0
-}
-
-// TestDtmlintLockcheckPlant plants an unguarded access to a guarded-by
-// annotated field and checks the standalone driver reports it.
-func TestDtmlintLockcheckPlant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds dtmlint and type-checks the module")
-	}
-	bin := buildDtmlint(t)
-	dir := plantModule(t, `package core
-
-import "sync"
-
-type Box struct {
-	mu sync.Mutex
-	n  int // guarded-by: mu
-}
-
-func Peek(b *Box) int { return b.n }
-`)
-	cmd := exec.Command(bin, "./...")
-	cmd.Dir = dir
-	out, err := cmd.CombinedOutput()
-	exit, ok := err.(*exec.ExitError)
-	if !ok || exit.ExitCode() != 1 {
-		t.Fatalf("dtmlint on planted lockcheck violation: err=%v (want exit 1)\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "lockcheck") || !strings.Contains(string(out), "clock.go:10") {
-		t.Errorf("lockcheck finding not located at clock.go:10:\n%s", out)
-	}
+	})
+	before, _, _ := strings.Cut(planted, "// planted")
+	return strings.Count(before, "\n") + 1
 }
 
 // copyTree copies the module's sources — go.mod, go.sum and every .go
@@ -234,15 +178,26 @@ func copyTree(t *testing.T) string {
 	return dir
 }
 
-// plantModule writes a throwaway single-package module whose package is
-// named core — inside detguard's deterministic scope — containing src as
-// clock.go.
+// boxSrc declares a mutex-guarded field for the plantModule tests.
+const boxSrc = `package box
+
+import "sync"
+
+type Box struct {
+	mu sync.Mutex
+	n  int // guarded-by: mu
+}
+
+`
+
+// plantModule writes a throwaway single-package module containing src as
+// box/box.go.
 func plantModule(t *testing.T, src string) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
-		"go.mod":        "module planted\n\ngo 1.21\n",
-		"core/clock.go": src,
+		"go.mod":     "module planted\n\ngo 1.21\n",
+		"box/box.go": src,
 	}
 	for name, content := range files {
 		path := filepath.Join(dir, name)

@@ -15,6 +15,12 @@
 // where a swallowed error turns into a silently truncated response or a
 // corrupt cache entry; best-effort writes (an error reply already being
 // written, a detached streaming flush) carry the annotation instead.
+//
+// A runtime test sees a dropped error only on a write it makes fail:
+// obs.TestJSONLSurfacesWriteError and TestTraceSinkFailureExitsNonzero
+// do that for the trace sink. Nothing does it for the rest, so a cache
+// write that drops its Close error passes tier-1 and go test -race, and
+// only errsink reports it (TestDtmlintPlants/errsink-cache).
 package errsink
 
 import (
@@ -120,7 +126,7 @@ func neverFails(fn *types.Func) bool {
 // sink/artifact/manifest write: declared in an obs or report package,
 // named Write*/Close/Flush/Sync, returning error as its last result.
 func sinkCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	fn := analysis.Callee(pass.TypesInfo, call)
+	fn := callee(pass.TypesInfo, call)
 	if fn == nil || fn.Pkg() == nil {
 		return nil
 	}
@@ -149,5 +155,21 @@ func sinkCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	if !ok || named.Obj().Pkg() != nil || named.Obj().Name() != "error" {
 		return nil
 	}
+	return fn
+}
+
+// callee returns the function or method a call names directly, or nil
+// for calls through function values, builtins and conversions.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }

@@ -1,9 +1,15 @@
 // Package lockcheck defines the dtmlint analyzer that statically
 // enforces the repository's mutex-guarded shared-state invariants. The
-// dynamic side of the contract is the -race soak battery over
-// internal/serve; it runs late, needs the racy schedule to actually
-// happen, and points at two goroutines, not the unguarded call site.
-// lockcheck moves the contract to lint time with a file:line.
+// dynamic side of the contract is go test -race, which only sees a race
+// when no lock orders the two accesses. That is why the serve handlers
+// keep this analyzer: each takes Server.mu in lookup first, which orders
+// every earlier write to the job before the handler runs, so a handler
+// that then reads the job's fields without the lock (planted in
+// handleStatus) races only with a write landing in that short gap. The
+// serve battery and its soak pass under -race with that plant; only
+// lockcheck reports it (TestDtmlintPlants/lockcheck-serve). The
+// experiments pool's batch state carries no annotations: an unguarded
+// update there fails TestRunProducesSlowdown under -race.
 //
 // A struct field opts in by naming its guard in a field comment:
 //

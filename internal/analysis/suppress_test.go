@@ -31,7 +31,7 @@ func posAtLine(fset *token.FileSet, line int) token.Pos {
 func TestSuppressionsAllowed(t *testing.T) {
 	fset, sup := parseSuppressions(t, `package p
 
-//dtmlint:allow detguard provenance stamp
+//dtmlint:allow lockcheck progress hint read without the lock
 func a() {}
 
 func b() {} //dtmlint:allow all legacy shim
@@ -40,17 +40,17 @@ func b() {} //dtmlint:allow all legacy shim
 		t.Fatalf("unexpected malformed directives: %v", sup.Malformed)
 	}
 	// Line 3 holds the directive; it covers lines 3 and 4.
-	if !sup.Allowed(fset, "detguard", posAtLine(fset, 4)) {
+	if !sup.Allowed(fset, "lockcheck", posAtLine(fset, 4)) {
 		t.Error("directive above the line does not suppress")
 	}
 	if sup.Allowed(fset, "floatzone", posAtLine(fset, 4)) {
 		t.Error("directive suppressed a different analyzer")
 	}
-	if sup.Allowed(fset, "detguard", posAtLine(fset, 5)) {
+	if sup.Allowed(fset, "lockcheck", posAtLine(fset, 5)) {
 		t.Error("directive leaked two lines down")
 	}
 	// "all" suppresses every analyzer on its own line (line 6).
-	if !sup.Allowed(fset, "tracegate", posAtLine(fset, 6)) {
+	if !sup.Allowed(fset, "errsink", posAtLine(fset, 6)) {
 		t.Error(`"all" directive does not suppress on its own line`)
 	}
 }
@@ -63,7 +63,7 @@ func TestSuppressionsMalformed(t *testing.T) {
 		name, comment string
 	}{
 		{"bare", "//dtmlint:allow"},
-		{"no-reason", "//dtmlint:allow detguard"},
+		{"no-reason", "//dtmlint:allow lockcheck"},
 		{"fused-typo", "//dtmlint:allowall legacy shim"},
 	} {
 		t.Run(tt.name, func(t *testing.T) {
@@ -72,7 +72,7 @@ func TestSuppressionsMalformed(t *testing.T) {
 				t.Fatalf("got %d malformed directives, want 1", len(sup.Malformed))
 			}
 			if sup.Allowed(fset, "all", posAtLine(fset, 4)) ||
-				sup.Allowed(fset, "detguard", posAtLine(fset, 4)) {
+				sup.Allowed(fset, "lockcheck", posAtLine(fset, 4)) {
 				t.Error("malformed directive still suppresses findings")
 			}
 		})

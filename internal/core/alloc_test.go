@@ -14,10 +14,11 @@ import (
 // factorizations cached), one full step — execute, map activity to
 // blocks, evaluate power, advance the thermal model, read sensors, run the
 // policy — must not touch the heap, whether the run executes its own cpu
-// batch, follows a Cohort's shared one, or times its stages with a
-// StageProfiler. The hot loop runs this step
-// every 10k simulated cycles, so a single stray allocation multiplies into
-// GC pressure across the paper's billion-instruction sweeps.
+// batch, follows a Cohort's shared one, times its stages with a
+// StageProfiler, or switches DVS levels, stops the clock or gates fetch.
+// The hot loop runs this step every 10k simulated cycles, so a single
+// stray allocation multiplies into GC pressure across the paper's
+// billion-instruction sweeps.
 func TestCoupledStepAllocationFree(t *testing.T) {
 	const budget = 1 << 40 // never reached: the window stays open
 	cfg := quickConfig()
@@ -29,7 +30,9 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownStep := func(name string, cfg Config) {
+	// warm builds a run and steps it until every reusable buffer is
+	// sized, as the start of Run does.
+	warm := func(cfg Config, pol dtm.Policy) *Simulator {
 		sim, err := New(cfg, gzipProfile(t), pol)
 		if err != nil {
 			t.Fatal(err)
@@ -38,20 +41,53 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.begin(budget)
-		own := func() {
+		for i := 0; i < 40; i++ {
 			if err := sim.step(nil); err != nil {
 				t.Fatal(err)
 			}
 		}
-		// A few steps size every reusable buffer, as the start of Run does.
-		for i := 0; i < 40; i++ {
-			own()
+		return sim
+	}
+	ownStep := func(name string, cfg Config) {
+		sim := warm(cfg, pol)
+		own := func() {
+			if err := sim.step(nil); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if allocs := testing.AllocsPerRun(50, own); allocs != 0 {
 			t.Errorf("%s step allocates %.1f times per iteration, want 0", name, allocs)
 		}
 	}
 	ownStep("own-core", cfg)
+
+	// Every actuation branch — a DVS switch, stalled or deferred, a
+	// clock stop and fetch gating — must stay off the heap too. A policy
+	// cycles through them, one per sensor sample, and each measured
+	// iteration runs one whole cycle: AllocsPerRun reports the integer
+	// mean per iteration, so a branch taken less than once per iteration
+	// would hide its allocation.
+	for _, stall := range []bool{true, false} {
+		acting := cfg
+		acting.DVSStall = stall
+		p := &cycling{ds: []dtm.Decision{{Level: 1}, {GateFrac: 0.3}, {ClockStop: true}, {}}}
+		sim := warm(acting, p)
+		switches := sim.l.res.DVSSwitches
+		cycle := func() {
+			for end := p.n + len(p.ds); p.n < end; {
+				if err := sim.step(nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		const runs = 4 // AllocsPerRun adds one warm-up run
+		if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+			t.Errorf("actuating (stall %v) steps allocate %.1f times per decision cycle, want 0", stall, allocs)
+		}
+		if got := sim.l.res.DVSSwitches - switches; got < 2*(runs+1) {
+			t.Errorf("stall %v: %d DVS switches over %d decision cycles, want 2 per cycle", stall, got, runs+1)
+		}
+	}
 
 	// The profiler's own windows must not allocate either; a counter
 	// hook stands in for the clock.
@@ -98,4 +134,19 @@ func TestCoupledStepAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, follow); allocs != 0 {
 		t.Errorf("cohort step allocates %.1f times per iteration, want 0", allocs)
 	}
+}
+
+// cycling is a policy that issues ds in turn, one decision per sample.
+type cycling struct {
+	ds []dtm.Decision
+	n  int
+}
+
+func (p *cycling) Name() string { return "cycling" }
+func (p *cycling) Reset()       { p.n = 0 }
+
+func (p *cycling) Sample(_, _ float64) dtm.Decision {
+	d := p.ds[p.n%len(p.ds)]
+	p.n++
+	return d
 }

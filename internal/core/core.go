@@ -508,8 +508,6 @@ func (s *Simulator) Run(instructions uint64) (Result, error) {
 // left it, on the core Fork gave it; instructions must be the cohort's
 // budget. One whose window completed inside the cohort returns its Result
 // at once.
-//
-//dtmlint:allocfree
 func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result, error) {
 	if instructions == 0 {
 		return Result{}, errors.New("core: zero instruction target")
@@ -519,10 +517,10 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 	}
 	s.ran = true
 	if !s.l.begun {
-		if err := s.start(ctx); err != nil { //dtmlint:allow allocguard one-time init before the measured loop
+		if err := s.start(ctx); err != nil { // one-time init before the measured loop
 			return Result{}, err
 		}
-		s.begin(instructions) //dtmlint:allow allocguard one-time init before the measured loop
+		s.begin(instructions) // one-time init before the measured loop
 	} else if instructions != s.l.instructions {
 		return Result{}, fmt.Errorf("core: run began with a %d-instruction budget, not %d", s.l.instructions, instructions)
 	}
@@ -544,8 +542,6 @@ func (s *Simulator) RunContext(ctx context.Context, instructions uint64) (Result
 // while the run stalls or stops the clock) and left its activity in
 // shared, and the run must not touch the core. On the step that
 // completes the measured window it fills in the Result and sets done.
-//
-//dtmlint:allocfree
 func (s *Simulator) step(shared *cpu.Activity) error {
 	l := &s.l
 	op := s.ladder.Point(l.level)

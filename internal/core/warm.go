@@ -227,8 +227,6 @@ func (c *Cohort) Fork(members []*Simulator, adopt bool) (*Cohort, error) {
 // cohort has stopped at this step boundary, and each group that acts
 // alike goes on from it after a Fork. Step refuses members that differ in
 // actuation rather than run one member's gates for all of them.
-//
-//dtmlint:allocfree
 func (c *Cohort) Step(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -261,7 +259,7 @@ func (c *Cohort) Step(ctx context.Context) error {
 			return err
 		}
 		if !s.l.done {
-			keep = append(keep, s) //dtmlint:allow allocguard filters c.sims in place
+			keep = append(keep, s) // filters c.sims in place
 		}
 	}
 	for _, s := range keep {

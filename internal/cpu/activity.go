@@ -77,8 +77,6 @@ func (a *Activity) IPC() float64 {
 // EV6 floorplan; the floorplan must contain all EV6 block names.
 //
 // dst is allocated if nil or short, and returned.
-//
-//dtmlint:allocfree
 func (a *Activity) BlockActivity(fp *floorplan.Floorplan, dst []float64) ([]float64, error) {
 	n := fp.NumBlocks()
 	if cap(dst) < n {
@@ -92,7 +90,7 @@ func (a *Activity) BlockActivity(fp *floorplan.Floorplan, dst []float64) ([]floa
 		return dst, nil
 	}
 	cyc := float64(a.Cycles)
-	set := func(name string, events uint64, maxRate float64) error { //dtmlint:allow allocguard non-escaping closure, stack-allocated (AllocsPerRun==0 in core alloc_test)
+	set := func(name string, events uint64, maxRate float64) error { // non-escaping closure, stack-allocated (AllocsPerRun==0 in core alloc_test)
 		i := fp.Index(name)
 		if i < 0 {
 			return fmt.Errorf("cpu: floorplan lacks block %q", name)

@@ -204,7 +204,7 @@ func (q *issueQueue) noteReady(ra uint64) {
 // Wakeups arrive mostly in age order, so the insertion scan from the tail
 // is short in practice.
 func (q *issueQueue) insertReady(seq uint64) {
-	r := append(q.ready, seq) //dtmlint:allow allocguard bounded by the queue capacity; cap settles during warm-up
+	r := append(q.ready, seq) // bounded by the queue capacity; cap settles during warm-up
 	i := len(r) - 1
 	for i > 0 && r[i-1] > seq {
 		r[i] = r[i-1]
@@ -218,7 +218,7 @@ func (q *issueQueue) insertReady(seq uint64) {
 // own walk is scanning, inserted directly otherwise.
 func (q *issueQueue) enqueueReady(seq uint64, ra uint64) {
 	if q.walking {
-		q.pending = append(q.pending, seq) //dtmlint:allow allocguard bounded by the queue capacity; cap settles during warm-up
+		q.pending = append(q.pending, seq) // bounded by the queue capacity; cap settles during warm-up
 		return
 	}
 	q.insertReady(seq)
@@ -536,15 +536,11 @@ func issueGatesZero(g Gates) bool {
 // gating, 0.5 = fetch gated every other cycle…), accumulating activity
 // counts into act (which may be nil) and returning instructions committed
 // during this call.
-//
-//dtmlint:allocfree
 func (c *Core) Run(n uint64, gateFrac float64, act *Activity) (uint64, error) {
 	return c.RunGated(n, Gates{Fetch: gateFrac}, act)
 }
 
 // RunGated is Run with the full set of gating knobs.
-//
-//dtmlint:allocfree
 func (c *Core) RunGated(n uint64, gates Gates, act *Activity) (uint64, error) {
 	return c.run(n, gates, act)
 }
@@ -714,14 +710,14 @@ func (c *Core) issueExec(q *issueQueue, width int) {
 		if issued >= width {
 			// Width exhausted with backlog: bulk-keep the tail and force a
 			// walk next cycle.
-			out = append(out, w[k:]...) //dtmlint:allow allocguard in-place filter reuses the ready list backing array
+			out = append(out, w[k:]...) // in-place filter reuses the ready list backing array
 			minReady = c.cycle
 			break
 		}
 		i := seq & c.robMask
 		ra := c.robReadyAt[i]
 		if ra > c.cycle {
-			out = append(out, seq) //dtmlint:allow allocguard in-place filter reuses the ready list backing array
+			out = append(out, seq) // in-place filter reuses the ready list backing array
 			minReady = min(minReady, ra)
 			continue
 		}
@@ -744,7 +740,7 @@ func (c *Core) issueMem(act *Activity) {
 	live := c.mshr[:0]
 	for _, t := range c.mshr {
 		if t > c.cycle {
-			live = append(live, t) //dtmlint:allow allocguard in-place filter reuses the MSHR backing array
+			live = append(live, t) // in-place filter reuses the MSHR backing array
 		}
 	}
 	c.mshr = live
@@ -758,14 +754,14 @@ func (c *Core) issueMem(act *Activity) {
 	width := c.cfg.MemIssueWidth
 	for k, seq := range w {
 		if issued >= width {
-			out = append(out, w[k:]...) //dtmlint:allow allocguard in-place filter reuses the ready list backing array
+			out = append(out, w[k:]...) // in-place filter reuses the ready list backing array
 			minReady = c.cycle
 			break
 		}
 		i := seq & c.robMask
 		ra := c.robReadyAt[i]
 		if ra > c.cycle {
-			out = append(out, seq) //dtmlint:allow allocguard in-place filter reuses the ready list backing array
+			out = append(out, seq) // in-place filter reuses the ready list backing array
 			minReady = min(minReady, ra)
 			continue
 		}
@@ -790,7 +786,7 @@ func (c *Core) issueMem(act *Activity) {
 			if !res.L2Hit {
 				lat += c.memLatency
 			}
-			c.mshr = append(c.mshr, c.cycle+uint64(lat)) //dtmlint:allow allocguard bounded by cfg.MSHRs; cap settles during warm-up
+			c.mshr = append(c.mshr, c.cycle+uint64(lat)) // bounded by cfg.MSHRs; cap settles during warm-up
 		}
 		cls := c.robClass[i]
 		done := c.cycle + uint64(lat)

@@ -62,7 +62,6 @@ func IsNone(p Policy) bool {
 
 func (nonePolicy) Name() string { return "none" }
 
-//dtmlint:allocfree
 func (nonePolicy) Sample(_, _ float64) Decision { return Decision{} }
 func (nonePolicy) Reset()                       {}
 
@@ -87,7 +86,6 @@ func DVSBinary(trigger float64, ladder *dvfs.Ladder) (Policy, error) {
 
 func (p *dvsBinary) Name() string { return "dvs" }
 
-//dtmlint:allocfree
 func (p *dvsBinary) Sample(maxReading, _ float64) Decision {
 	if maxReading >= p.trigger {
 		return Decision{Level: p.low}
@@ -144,7 +142,6 @@ func DVSPI(trigger float64, ladder *dvfs.Ladder) (Policy, error) {
 
 func (p *dvsPI) Name() string { return fmt.Sprintf("dvs-pi%d", p.ladder.NumPoints()) }
 
-//dtmlint:allocfree
 func (p *dvsPI) Sample(maxReading, dt float64) Decision {
 	// Positive error = too hot = more reduction.
 	reduction := p.pi.Update(maxReading-p.trigger, dt)

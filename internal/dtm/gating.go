@@ -46,7 +46,6 @@ const DefaultFGGain = 600.0
 
 func (p *fetchGating) Name() string { return "fg" }
 
-//dtmlint:allocfree
 func (p *fetchGating) Sample(maxReading, dt float64) Decision {
 	return Decision{GateFrac: p.ctl.Update(maxReading-p.trigger, dt)}
 }
@@ -73,7 +72,6 @@ func FixedFG(trigger, gate float64) (Policy, error) {
 
 func (p *fixedFG) Name() string { return fmt.Sprintf("fg-fixed%.2f", p.gate) }
 
-//dtmlint:allocfree
 func (p *fixedFG) Sample(maxReading, _ float64) Decision {
 	if maxReading >= p.trigger {
 		return Decision{GateFrac: p.gate}
@@ -100,7 +98,6 @@ func ClockGating(trigger float64) Policy {
 
 func (p *clockGating) Name() string { return "clockgate" }
 
-//dtmlint:allocfree
 func (p *clockGating) Sample(maxReading, _ float64) Decision {
 	if maxReading >= p.trigger {
 		return Decision{ClockStop: true}

@@ -50,7 +50,6 @@ func PIHyb(trigger, ki, crossGate float64, ladder *dvfs.Ladder) (Policy, error) 
 
 func (p *piHyb) Name() string { return "pi-hyb" }
 
-//dtmlint:allocfree
 func (p *piHyb) Sample(maxReading, dt float64) Decision {
 	err := maxReading - p.trigger
 	gate := p.ctl.Update(err, dt)
@@ -117,7 +116,6 @@ func Hyb(trigger, delta, gate float64, ladder *dvfs.Ladder) (Policy, error) {
 
 func (p *hyb) Name() string { return "hyb" }
 
-//dtmlint:allocfree
 func (p *hyb) Sample(maxReading, _ float64) Decision {
 	switch {
 	case maxReading >= p.dvsAt:

@@ -84,8 +84,6 @@ func (p *localToggling) Name() string { return "local" }
 // Sample implements the base interface for contexts that only have the
 // maximum reading: every domain sees the same error, which degenerates to
 // uniform issue gating.
-//
-//dtmlint:allocfree
 func (p *localToggling) Sample(maxReading, dt float64) Decision {
 	err := maxReading - p.trigger
 	return Decision{
@@ -110,8 +108,6 @@ func maxOver(readings []float64, idx []int) (float64, bool) {
 
 // SampleVector drives each domain's controller with that domain's hottest
 // sensor.
-//
-//dtmlint:allocfree
 func (p *localToggling) SampleVector(readings []float64, dt float64) Decision {
 	var d Decision
 	if m, ok := maxOver(readings, p.domains.Int); ok {

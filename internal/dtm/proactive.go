@@ -42,7 +42,6 @@ func Proactive(inner Policy, horizon float64) (Policy, error) {
 
 func (p *proactive) Name() string { return "proactive-" + p.inner.Name() }
 
-//dtmlint:allocfree
 func (p *proactive) Sample(maxReading, dt float64) Decision {
 	predicted := maxReading
 	if p.valid && dt > 0 {

@@ -4,12 +4,12 @@ import (
 	"testing"
 )
 
-// The map-range reductions annotated with //dtmlint:allow detguard in
-// studies.go claim to be iteration-order independent. Go randomizes map
-// iteration order on every range, so hammering each reduction and
-// demanding one stable answer is a direct regression test of that claim:
-// if someone later threads an order-dependent accumulation through these
-// loops, this test flakes immediately.
+// The map-range reductions in studies.go claim to be iteration-order
+// independent. Go randomizes map iteration order on every range, so
+// hammering each reduction and demanding one stable answer is a direct
+// regression test of that claim: if someone later threads an
+// order-dependent accumulation through these loops, this test flakes
+// immediately.
 func TestMapReductionsAreOrderIndependent(t *testing.T) {
 	step := StepSizeResult{MeanSlowdown: map[int]float64{
 		2: 1.071, 3: 1.0525, 5: 1.0524, 8: 1.0719, 13: 1.0391,

@@ -290,7 +290,7 @@ func (r *Runner) ranJob(job Job, res core.Result, start time.Time) {
 	if r.metrics != nil {
 		r.metrics.Counter(obs.MetricPoolJobs).Inc()
 		r.metrics.Counter(obs.MetricInstructions).Add(int64(res.Instructions))
-		//dtmlint:allow detguard host-side job latency metric; never feeds Measurements
+		// host-side job latency metric; never feeds Measurements
 		r.metrics.Histogram(obs.MetricPoolJobSeconds).Observe(time.Since(start).Seconds())
 	}
 	if r.log != nil {

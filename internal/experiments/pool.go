@@ -71,7 +71,7 @@ type progress struct {
 }
 
 func (r *Runner) newProgress(total int) *progress {
-	return &progress{log: r.log, total: total, start: time.Now()} //dtmlint:allow detguard progress ETA is log-only host time
+	return &progress{log: r.log, total: total, start: time.Now()} // progress ETA is log-only host time
 }
 
 func (p *progress) done() {
@@ -79,7 +79,7 @@ func (p *progress) done() {
 	if p.log == nil || !p.log.Enabled(context.Background(), slog.LevelInfo) {
 		return
 	}
-	elapsed := time.Since(p.start) //dtmlint:allow detguard progress ETA is log-only host time
+	elapsed := time.Since(p.start) // progress ETA is log-only host time
 	eta := time.Duration(float64(elapsed) / float64(n) * float64(p.total-n)).Round(time.Second)
 	p.log.Info("progress", "done", n, "total", p.total,
 		"elapsed", elapsed.Round(time.Second).String(), "eta", eta.String())

@@ -57,7 +57,7 @@ type claim struct {
 // started.
 type stopped struct {
 	co     *core.Cohort
-	claims int            // not yet started; guarded-by: batch.mu
+	claims int            // not yet started; under batch.mu
 	copies sync.WaitGroup // copies in progress; the adopting claim waits
 }
 
@@ -71,12 +71,12 @@ type batch struct {
 
 	mu    sync.Mutex
 	cond  *sync.Cond // signals a new claim, a finished item or an error
-	queue []*claim   // guarded-by: mu
-	next  int        // next group to start; guarded-by: mu
-	busy  int        // workers inside an item; guarded-by: mu
-	err   error      // first failure; guarded-by: mu
-	live  int        // cpu cores alive; guarded-by: mu
-	peak  int        // most cores alive at once; guarded-by: mu
+	queue []*claim   // under mu
+	next  int        // next group to start; under mu
+	busy  int        // workers inside an item; under mu
+	err   error      // first failure; under mu
+	live  int        // cpu cores alive; under mu
+	peak  int        // most cores alive at once; under mu
 }
 
 // plan groups a batch's runs by warm key, in order of first submission:
@@ -294,7 +294,7 @@ func (b *batch) warm(ctx context.Context, g []*run) ([]*claim, error) {
 		if u.sim, err = co.Join(b.r.instrument(u.cfg), u.prof, pol); err != nil {
 			return nil, err
 		}
-		u.start = time.Now() //dtmlint:allow detguard host-side job latency metric; never feeds Measurements
+		u.start = time.Now() // host-side job latency metric; never feeds Measurements
 		if u.shares() && (len(shared.runs) == 0 || u.cfg.ThermalStepCycles == shared.runs[0].cfg.ThermalStepCycles) {
 			shared.runs = append(shared.runs, u)
 		} else {

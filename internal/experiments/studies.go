@@ -27,7 +27,7 @@ type StepSizeResult struct {
 // MaxSpread returns the largest pairwise difference in mean slowdown.
 func (s StepSizeResult) MaxSpread() float64 {
 	lo, hi := math.Inf(1), math.Inf(-1)
-	//dtmlint:allow detguard min/max reduction is iteration-order independent
+	// min/max reduction is iteration-order independent (TestMapReductionsAreOrderIndependent)
 	for _, v := range s.MeanSlowdown {
 		lo = math.Min(lo, v)
 		hi = math.Max(hi, v)
@@ -102,7 +102,7 @@ type VoltageFloorResult struct {
 // Floor returns the largest violation-free fraction (the paper finds 85%).
 func (v VoltageFloorResult) Floor() float64 {
 	best := 0.0
-	//dtmlint:allow detguard max reduction is iteration-order independent
+	// max reduction is iteration-order independent (TestMapReductionsAreOrderIndependent)
 	for frac, ok := range v.ViolationFree {
 		if ok && frac > best {
 			best = frac

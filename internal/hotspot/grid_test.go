@@ -300,6 +300,46 @@ func TestGridSteadyStateIntoAllocationFree(t *testing.T) {
 	}
 }
 
+// TestStepAllocationFree covers the transient entry points: once a step
+// at a dt has factored its matrix, stepping the block model (backward
+// Euler and RK4), reading its temperatures back and stepping the grid
+// must all stay off the heap.
+func TestStepAllocationFree(t *testing.T) {
+	fp := floorplan.EV6()
+	m, err := NewModel(fp, DefaultPackage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := newGrid(t, 16, 16)
+	p := make([]float64, fp.NumBlocks())
+	for i := range p {
+		p[i] = 30 * fp.Block(i).Rect.Area() / fp.BlockArea()
+	}
+	temps := m.BlockTemps(nil)
+	const dt = 1e-4
+	for name, step := range map[string]func() error{
+		"Model.Step":    func() error { return m.Step(p, dt) },
+		"Model.StepRK4": func() error { return m.StepRK4(p, dt) },
+		"Model.BlockTemps": func() error {
+			temps = m.BlockTemps(temps)
+			return nil
+		},
+		"GridModel.Step": func() error { return g.Step(p, dt) },
+	} {
+		if err := step(); err != nil { // factor at this dt
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s allocates %.1f times per call, want 0", name, allocs)
+		}
+	}
+}
+
 // TestModelSteadyStateIntoMatch does the same for the block model.
 func TestModelSteadyStateIntoMatch(t *testing.T) {
 	fp := floorplan.EV6()

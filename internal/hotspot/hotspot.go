@@ -352,8 +352,6 @@ func (m *Model) InitUniform(tempC float64) {
 // for the stiff block/package time-constant mix and fast because the
 // factorization is cached per distinct dt (DVS changes dt only between a
 // handful of frequency settings).
-//
-//dtmlint:allocfree
 func (m *Model) Step(blockPower []float64, dt float64) error {
 	if err := m.fillPower(blockPower); err != nil {
 		return err
@@ -366,8 +364,6 @@ func (m *Model) Step(blockPower []float64, dt float64) error {
 }
 
 // StepRK4 is Step with the explicit integrator; used for cross-validation.
-//
-//dtmlint:allocfree
 func (m *Model) StepRK4(blockPower []float64, dt float64) error {
 	if err := m.fillPower(blockPower); err != nil {
 		return err
@@ -393,8 +389,6 @@ func (m *Model) SteadyState(blockPower []float64) ([]float64, error) {
 // NumBlocks. After the network's first steady-state factorization the call
 // is allocation-free, so iterative power–temperature fixed points can run
 // it every iteration without garbage.
-//
-//dtmlint:allocfree
 func (m *Model) SteadyStateInto(dst, blockPower []float64) error {
 	if len(dst) != m.nBlocks {
 		return fmt.Errorf("hotspot: dst length %d, want %d", len(dst), m.nBlocks)
@@ -413,8 +407,6 @@ func (m *Model) SteadyStateInto(dst, blockPower []float64) error {
 
 // BlockTemps writes the absolute block temperatures (°C) into dst and
 // returns it; dst is allocated if nil or short.
-//
-//dtmlint:allocfree
 func (m *Model) BlockTemps(dst []float64) []float64 {
 	if cap(dst) < m.nBlocks {
 		dst = make([]float64, m.nBlocks)

@@ -170,7 +170,13 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.InitUniform(m.Config().Ambient)
+	ambient := m.Config().Ambient
+	m.InitUniform(ambient)
+	for i, v := range m.BlockTemps(nil) {
+		if math.Abs(v-ambient) > 1e-9 {
+			t.Fatalf("block %s starts at %v °C, want the ambient %v °C", m.NodeName(i), v, ambient)
+		}
+	}
 	// Die time constants are ms-scale but the sink takes ~100s; run a long
 	// coarse transient (BE is unconditionally stable, so big steps are fine).
 	for i := 0; i < 5000; i++ {

@@ -34,8 +34,8 @@ type Span struct {
 	ID     string  `json:"id"`               // deterministic: sha256(trace, name) prefix
 	Parent string  `json:"parent,omitempty"` // parent span id; "" for the root
 	Name   string  `json:"name"`             // stage name ("submit", "run", ...)
-	StartS float64 `json:"start_s"`          // unit:s seconds since the trace epoch
-	EndS   float64 `json:"end_s"`            // unit:s seconds since the trace epoch; 0 = open
+	StartS float64 `json:"start_s"`          // seconds since the trace epoch
+	EndS   float64 `json:"end_s"`            // seconds since the trace epoch; 0 = open
 }
 
 // Duration returns the span's length in seconds, 0 while it is open.

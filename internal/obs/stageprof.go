@@ -1,9 +1,10 @@
 // Stage profiling: per-stage wall-time / invocation attribution through
 // the coupled simulation loop. A StageProfiler is threaded through
 // core.Simulator's step the same way the Tracer is — hoisted into a
-// local, every call site behind one `if sp != nil` branch (enforced by
-// dtmlint's tracegate analyzer) — so the profiler-off loop keeps its
-// AllocsPerRun==0 contract and stays within ~1% of baseline.
+// local, every call site behind one `if sp != nil` branch (the methods
+// are not nil-safe, so an unguarded call panics in every profiler-off
+// test) — so the profiler-off loop keeps its AllocsPerRun==0 contract and
+// stays within ~1% of baseline.
 //
 // Every thermal step is timed: each loop stage is one Begin/End window
 // (two monotonic clock reads), the cpu model included as the single

@@ -138,8 +138,6 @@ func (m *Model) PeakTotal() float64 {
 //     disables leakage (used by ablation studies).
 //
 // dst is allocated if nil or short, and returned.
-//
-//dtmlint:allocfree
 func (m *Model) Compute(dst, activity []float64, clockFrac, v, f float64, temps []float64) ([]float64, error) {
 	n := len(m.peak)
 	if len(activity) != n {

@@ -157,8 +157,6 @@ func (c *Cholesky) Solve(b []float64) ([]float64, error) {
 
 // SolveInto solves A x = b writing the result into x, allocation-free.
 // x and b must both have length n; they may alias.
-//
-//dtmlint:allocfree
 func (c *Cholesky) SolveInto(x, b []float64) {
 	s := c.sym
 	copy(x, b)

@@ -48,8 +48,6 @@ func (m *CSR) Diag(i int) float64 { return m.val[m.diag[i]] }
 // bit-identical to a dense row-major product over the same matrix (skipped
 // structural zeros contribute exact ±0 terms that cannot change a partial
 // sum).
-//
-//dtmlint:allocfree
 func (m *CSR) MatVecInto(y, x []float64) {
 	for i := 0; i < m.n; i++ {
 		var s float64

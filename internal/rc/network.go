@@ -269,8 +269,6 @@ func (nw *Network) SteadyState(p []float64) ([]float64, error) {
 // SteadyStateInto is SteadyState writing into dst, which must have length
 // NumNodes. The factorization of G is computed once and cached, so repeated
 // calls are allocation-free back-substitutions. dst and p may alias.
-//
-//dtmlint:allocfree
 func (nw *Network) SteadyStateInto(dst, p []float64) error {
 	if !nw.finalized {
 		return errors.New("rc: SteadyState before Finalize")
@@ -282,7 +280,7 @@ func (nw *Network) SteadyStateInto(dst, p []float64) error {
 		return fmt.Errorf("rc: dst length %d, want %d", len(dst), len(nw.names))
 	}
 	if nw.ss == nil {
-		f, err := nw.factor(nil) //dtmlint:allow allocguard first-call factorization, cached for every later solve
+		f, err := nw.factor(nil) // first-call factorization, cached for every later solve
 		if err != nil {
 			return fmt.Errorf("rc: steady-state factorization: %w", err)
 		}
@@ -328,8 +326,6 @@ func (nw *Network) maxRate() float64 {
 // StepRK4 advances θ by dt seconds under constant power p using classical
 // RK4, automatically sub-stepping to stay inside the stability region.
 // θ is updated in place.
-//
-//dtmlint:allocfree
 func (nw *Network) StepRK4(theta, p []float64, dt float64) error {
 	if !nw.finalized {
 		return errors.New("rc: StepRK4 before Finalize")
@@ -375,8 +371,6 @@ func (nw *Network) StepRK4(theta, p []float64, dt float64) error {
 // cached per dt — keyed by the bit pattern of dt, not float equality, so
 // the cache behaves sanely for every representable dt. θ is updated in
 // place; after the first step at a given dt the call is allocation-free.
-//
-//dtmlint:allocfree
 func (nw *Network) StepBE(theta, p []float64, dt float64) error {
 	if !nw.finalized {
 		return errors.New("rc: StepBE before Finalize")
@@ -394,11 +388,11 @@ func (nw *Network) StepBE(theta, p []float64, dt float64) error {
 			nw.shift[i] = c / dt
 		}
 		var err error
-		f, err = nw.factor(nw.shift) //dtmlint:allow allocguard first-step factorization at a new dt, cached thereafter
+		f, err = nw.factor(nw.shift) // first-step factorization at a new dt, cached thereafter
 		if err != nil {
 			return fmt.Errorf("rc: backward Euler factorization: %w", err)
 		}
-		nw.beCache[key] = f //dtmlint:allow allocguard cache fill on the first step at a new dt
+		nw.beCache[key] = f // cache fill on the first step at a new dt
 	}
 	for i := range theta {
 		nw.tmp[i] = nw.cap[i]/dt*theta[i] + p[i]

@@ -440,6 +440,7 @@ func TestHotPathsAllocationFree(t *testing.T) {
 		"SteadyStateInto": func() { _ = nw.SteadyStateInto(dst, p) },
 		"StepBE":          func() { _ = nw.StepBE(theta, p, 1e-3) },
 		"StepRK4":         func() { _ = nw.StepRK4(theta, p, 1e-3) },
+		"MatVecInto":      func() { nw.G().MatVecInto(dst, theta) },
 	}
 	for name, fn := range checks {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {

@@ -137,8 +137,6 @@ func (b *Bank) SetStuck(i int, value float64) error {
 // Read fills dst with one sample per sensor: the true temperature plus the
 // fixed offset, quantized to the Precision step, plus optional uniform
 // noise within ±Noise. dst is allocated if nil or short, and returned.
-//
-//dtmlint:allocfree
 func (b *Bank) Read(dst, truth []float64) ([]float64, error) {
 	if len(truth) != len(b.offsets) {
 		return nil, fmt.Errorf("sensor: %d temperatures for %d sensors", len(truth), len(b.offsets))
@@ -166,8 +164,6 @@ func (b *Bank) Read(dst, truth []float64) ([]float64, error) {
 
 // Max returns the largest value in a reading — what a comparator bank
 // wired to every sensor effectively computes.
-//
-//dtmlint:allocfree
 func Max(readings []float64) float64 {
 	m := readings[0]
 	for _, v := range readings[1:] {

@@ -228,11 +228,11 @@ func TestContract(t *testing.T) {
 	gate <- struct{}{}
 	waitCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := srv.WaitJob(waitCtx, "j-000001"); err != nil {
-		t.Fatalf("WaitJob A: %v", err)
+	if err := srv.waitJob(waitCtx, "j-000001"); err != nil {
+		t.Fatalf("waitJob A: %v", err)
 	}
-	if err := srv.WaitJob(waitCtx, "j-000002"); err != nil {
-		t.Fatalf("WaitJob B: %v", err)
+	if err := srv.waitJob(waitCtx, "j-000002"); err != nil {
+		t.Fatalf("waitJob B: %v", err)
 	}
 
 	resp, body = do(t, http.MethodGet, base+"/v1/jobs/j-000001", "")
@@ -262,7 +262,7 @@ func TestContract(t *testing.T) {
 		}
 	}
 	keyA := submittedKey(t, base, "j-000001")
-	artifact, err := os.ReadFile(srv.Cache().TracePath(keyA))
+	artifact, err := os.ReadFile(srv.cache.TracePath(keyA))
 	if err != nil {
 		t.Fatalf("trace artifact: %v", err)
 	}
@@ -393,8 +393,8 @@ func TestContractCanceledResult(t *testing.T) {
 	}()
 	waitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.WaitJob(waitCtx, "j-000002"); err != nil {
-		t.Fatalf("WaitJob B: %v", err)
+	if err := srv.waitJob(waitCtx, "j-000002"); err != nil {
+		t.Fatalf("waitJob B: %v", err)
 	}
 
 	resp, body = do(t, http.MethodGet, ts.URL+"/v1/jobs/j-000002", "")
@@ -453,8 +453,8 @@ func TestHealthOccupancy(t *testing.T) {
 	gate <- struct{}{}
 	waitCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if err := srv.WaitJob(waitCtx, "j-000001"); err != nil {
-		t.Fatalf("WaitJob: %v", err)
+	if err := srv.waitJob(waitCtx, "j-000001"); err != nil {
+		t.Fatalf("waitJob: %v", err)
 	}
 }
 

@@ -191,9 +191,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Cache returns the persistent result cache.
-func (s *Server) Cache() *Cache { return s.cache }
-
 // Shutdown drains the server: no new submissions are accepted (503),
 // in-flight simulations run to completion, and queued-but-unstarted jobs
 // are marked canceled. It returns once the pool has drained or ctx
@@ -696,7 +693,6 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	t0 := s.now()
 	j, ok := s.lookup(w, r)
 	if !ok {
 		return
@@ -721,6 +717,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close() //dtmlint:allow errsink read-only artifact handle; a close error cannot lose data
+	// The response streams from here: a refused request reads no clock.
+	t0 := s.now()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fw := &firstByteWriter{w: w, observe: func() {
@@ -774,10 +772,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// WaitJob blocks until the job reaches a terminal state or ctx expires;
-// it lets in-process callers such as tests wait without polling their
-// own server over HTTP.
-func (s *Server) WaitJob(ctx context.Context, id string) error {
+// waitJob blocks until the job reaches a terminal state or ctx expires;
+// it lets the package's tests wait without polling their own server over
+// HTTP.
+func (s *Server) waitJob(ctx context.Context, id string) error {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	s.mu.Unlock()

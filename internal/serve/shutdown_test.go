@@ -64,8 +64,8 @@ func TestGracefulShutdownDrainsAndRestartHitsCache(t *testing.T) {
 	// Queued-but-unstarted work is promptly reported canceled, not lost.
 	waitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.WaitJob(waitCtx, subB.ID); err != nil {
-		t.Fatalf("WaitJob B: %v", err)
+	if err := srv.waitJob(waitCtx, subB.ID); err != nil {
+		t.Fatalf("waitJob B: %v", err)
 	}
 	_, body := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+subB.ID, "")
 	var stB statusResponse
@@ -86,8 +86,8 @@ func TestGracefulShutdownDrainsAndRestartHitsCache(t *testing.T) {
 	if err := <-shutdownErr; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	if err := srv.WaitJob(waitCtx, subA.ID); err != nil {
-		t.Fatalf("WaitJob A: %v", err)
+	if err := srv.waitJob(waitCtx, subA.ID); err != nil {
+		t.Fatalf("waitJob A: %v", err)
 	}
 	_, body = do(t, http.MethodGet, ts.URL+"/v1/jobs/"+subA.ID, "")
 	var stA statusResponse
@@ -97,7 +97,7 @@ func TestGracefulShutdownDrainsAndRestartHitsCache(t *testing.T) {
 	if stA.State != StateDone {
 		t.Fatalf("A after drain: state %q, want done", stA.State)
 	}
-	entryA, ok := srv.Cache().Get(stA.Key)
+	entryA, ok := srv.cache.Get(stA.Key)
 	if !ok {
 		t.Fatalf("A's result not persisted across shutdown")
 	}
@@ -156,8 +156,8 @@ func TestGracefulShutdownDrainsAndRestartHitsCache(t *testing.T) {
 	if code != http.StatusAccepted || subB2.Cached {
 		t.Fatalf("resubmit B after restart: HTTP %d cached=%v, want 202 uncached (it never ran)", code, subB2.Cached)
 	}
-	if err := srv2.WaitJob(waitCtx, subB2.ID); err != nil {
-		t.Fatalf("WaitJob B (restart): %v", err)
+	if err := srv2.waitJob(waitCtx, subB2.ID); err != nil {
+		t.Fatalf("waitJob B (restart): %v", err)
 	}
 }
 
@@ -186,8 +186,8 @@ func TestCloseFailsInFlight(t *testing.T) {
 
 	waitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := srv.WaitJob(waitCtx, sub.ID); err != nil {
-		t.Fatalf("WaitJob: %v", err)
+	if err := srv.waitJob(waitCtx, sub.ID); err != nil {
+		t.Fatalf("waitJob: %v", err)
 	}
 	resp, body := do(t, http.MethodGet, ts.URL+"/v1/jobs/"+sub.ID+"/result", "")
 	if resp.StatusCode != http.StatusConflict {

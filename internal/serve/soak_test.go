@@ -283,7 +283,7 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 			continue
 		}
 		seen[key] = true
-		entry, ok := srv.Cache().Get(key)
+		entry, ok := srv.cache.Get(key)
 		if !ok {
 			t.Fatalf("no cache entry for %s/%s (key %s)", jc.Benchmark, jc.Policy, key)
 		}
@@ -299,7 +299,7 @@ func TestSoakConcurrentMixedLoad(t *testing.T) {
 	// The cache directory must hold exactly the committed artifacts: one
 	// entry per distinct config, traces for the traced ones, no temp debris.
 	entries, traces := 0, 0
-	dir, err := os.ReadDir(srv.Cache().Dir())
+	dir, err := os.ReadDir(srv.cache.Dir())
 	if err != nil {
 		t.Fatalf("ReadDir: %v", err)
 	}

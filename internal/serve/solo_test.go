@@ -95,10 +95,10 @@ func TestTracedJobMatchesSolo(t *testing.T) {
 			t.Fatalf("submit %s: HTTP %d", body, code)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-		err := srv.WaitJob(ctx, sub.ID)
+		err := srv.waitJob(ctx, sub.ID)
 		cancel()
 		if err != nil {
-			t.Fatalf("WaitJob: %v", err)
+			t.Fatalf("waitJob: %v", err)
 		}
 		srv.mu.Lock()
 		j := srv.jobs[sub.ID]
@@ -107,7 +107,7 @@ func TestTracedJobMatchesSolo(t *testing.T) {
 		if state != StateDone {
 			t.Fatalf("%s: state %q, want done", body, state)
 		}
-		gotTrace, err := os.ReadFile(srv.Cache().TracePath(sub.Key))
+		gotTrace, err := os.ReadFile(srv.cache.TracePath(sub.Key))
 		if err != nil {
 			t.Fatalf("trace artifact: %v", err)
 		}
