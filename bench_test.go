@@ -9,7 +9,7 @@
 // Run a single figure with e.g.
 //
 //	go test -bench=Fig4a -benchtime=1x .
-package hybriddtm
+package hybriddtm_test
 
 import (
 	"context"

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	experiments [-insts N] [-bench name] [-workers N] [-v] [-quiet] [id ...]
+//	experiments [-insts N] [-bench name] [-workers N] [-cache dir] [-v] [-quiet] [id ...]
 //
 // where id is one of: bench, 3a, 3a-ideal, 3b, 4a, 4b, steps, vfloor,
 // cross, local, merit, all. Default: all. Every wanted section but merit
@@ -17,13 +17,15 @@
 // per CPU); results are identical for any worker count, so -workers only
 // changes wall-clock time. Use -insts to scale the per-run instruction
 // budget. Interrupting (Ctrl-C) cancels outstanding simulations promptly.
+// -cache keeps the result of every simulation in a directory, keyed by
+// its configuration and the simulator's sources, so a later run of the
+// same rows reads them back instead of simulating (see
+// internal/experiments/cache.go); the output is the same either way.
 //
 // Observability: progress (N/M jobs with ETA) goes to stderr at Info
 // level; -v adds a Debug line per simulation, -quiet silences both. A
 // metrics summary (runs, thermal steps, DVS switches, trigger residency,
-// job latency) is printed to stderr at exit; -metrics-addr serves the
-// same registry over HTTP while the sweep runs, as text at /metrics and
-// Prometheus at /metrics.prom (shut down gracefully on exit or Ctrl-C).
+// job latency, cache hits) is printed to stderr at exit.
 // -cpuprofile/-memprofile/-runtime-metrics capture profiles. -out writes
 // machine-readable figure results for dtmreport, -snapshot-out records a
 // BENCH_<sha>.json performance snapshot, -stage-profile writes per-stage
@@ -72,7 +74,7 @@ func run(ctx context.Context) error {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
 	verbose := flag.Bool("v", false, "debug logging: one line per completed simulation")
 	quiet := flag.Bool("quiet", false, "suppress progress logging and the metrics summary")
-	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9090, or :0 for an ephemeral port)")
+	cacheDir := flag.String("cache", "", "result cache directory: reuse the results of earlier runs of the same simulations")
 	out := flag.String("out", "", "write machine-readable figure results JSON to this file (input for dtmreport)")
 	snapshotOut := flag.String("snapshot-out", "", "write a BENCH_<sha>.json perf snapshot into this directory (or to this exact path when it ends in .json)")
 	stageProfile := flag.String("stage-profile", "", "write per-stage coupled-loop attribution JSON to this file (dedicated profiled run after the sweep, so gated perf metrics are unaffected)")
@@ -80,6 +82,9 @@ func run(ctx context.Context) error {
 	prof.Register(flag.CommandLine)
 	flag.Parse()
 
+	if *cacheDir != "" && *snapshotOut != "" {
+		return fmt.Errorf("-cache with -snapshot-out: a snapshot of cache hits measures no simulation")
+	}
 	stopProf, err := prof.Start(os.Stderr)
 	if err != nil {
 		return err
@@ -104,6 +109,7 @@ func run(ctx context.Context) error {
 	opts := experiments.DefaultOptions()
 	opts.Instructions = *insts
 	opts.Workers = *workers
+	opts.CacheDir = *cacheDir
 	if *bench != "" {
 		p, ok := trace.ByName(*bench)
 		if !ok {
@@ -121,14 +127,6 @@ func run(ctx context.Context) error {
 	}
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
-	if *metricsAddr != "" {
-		addr, stopServe, err := obs.Serve(ctx, *metricsAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer stopServe() //nolint:errcheck // best-effort shutdown
-		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
-	}
 
 	r, err := experiments.NewRunner(opts)
 	if err != nil {

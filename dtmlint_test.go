@@ -1,7 +1,7 @@
 // Process-level contract test for cmd/dtmlint: the repo must lint clean,
 // and a planted violation must fail the build with a finding on the right
 // line. This is the executable form of the CI lint gate.
-package hybriddtm
+package hybriddtm_test
 
 import (
 	"fmt"
@@ -24,7 +24,7 @@ func buildDtmlint(t *testing.T) string {
 
 // TestDtmlintCLI checks the standalone driver: exit 0 with no output on
 // the real tree, exit 1 with a located finding on a module that plants a
-// lockcheck violation, and exit 0 again once the violation carries a
+// floatzone violation, and exit 0 again once the violation carries a
 // //dtmlint:allow annotation.
 func TestDtmlintCLI(t *testing.T) {
 	if testing.Short() {
@@ -44,7 +44,7 @@ func TestDtmlintCLI(t *testing.T) {
 	})
 
 	t.Run("planted-violation", func(t *testing.T) {
-		dir := plantModule(t, boxSrc+"func Peek(b *Box) int { return b.n }\n")
+		dir := plantModule(t, boxSrc+"func Same(a, b float64) bool { return a == b }\n")
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
@@ -52,13 +52,13 @@ func TestDtmlintCLI(t *testing.T) {
 		if !ok || exit.ExitCode() != 1 {
 			t.Fatalf("dtmlint on planted violation: err=%v (want exit 1)\n%s", err, out)
 		}
-		if !strings.Contains(string(out), "lockcheck") || !strings.Contains(string(out), "box.go:10") {
-			t.Errorf("finding not located at box.go:10:\n%s", out)
+		if !strings.Contains(string(out), "floatzone") || !strings.Contains(string(out), "box.go:3") {
+			t.Errorf("finding not located at box.go:3:\n%s", out)
 		}
 	})
 
 	t.Run("allow-suppresses", func(t *testing.T) {
-		dir := plantModule(t, boxSrc+"func Peek(b *Box) int { return b.n } //dtmlint:allow lockcheck a racy peek is fine for a progress hint\n")
+		dir := plantModule(t, boxSrc+"func Same(a, b float64) bool { return a == b } //dtmlint:allow floatzone exact equality is the point\n")
 		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		if out, err := cmd.CombinedOutput(); err != nil {
@@ -82,17 +82,13 @@ func TestDtmlintPlants(t *testing.T) {
 	for _, tc := range []struct {
 		name, analyzer, file, old, new string
 	}{
-		// A handler reads job state without the server lock.
-		{"lockcheck-serve", "lockcheck", "internal/serve/server.go",
-			"\ts.mu.Lock()\n\tresp := s.statusLocked(j)\n\ts.mu.Unlock()\n",
-			"\tresp := s.statusLocked(j) // planted\n"},
 		// The t-distribution's continued fraction stops on exact equality.
 		{"floatzone-betacf", "floatzone", "internal/stats/stats.go",
 			"\t\tif math.Abs(del-1) < eps {\n",
 			"\t\tif del == 1 { // planted\n"},
 		// The result cache drops the Close error of a written entry.
-		{"errsink-cache", "errsink", "internal/serve/cache.go",
-			"\tif err := tmp.Close(); err != nil {\n\t\tos.Remove(name)\n\t\treturn fmt.Errorf(\"serve: cache write: %w\", err)\n\t}\n",
+		{"errsink-cache", "errsink", "internal/experiments/cache.go",
+			"\tif err := tmp.Close(); err != nil {\n\t\tos.Remove(name)\n\t\treturn fmt.Errorf(\"experiments: cache write: %w\", err)\n\t}\n",
 			"\ttmp.Close() // planted\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -178,17 +174,9 @@ func copyTree(t *testing.T) string {
 	return dir
 }
 
-// boxSrc declares a mutex-guarded field for the plantModule tests.
-const boxSrc = `package box
-
-import "sync"
-
-type Box struct {
-	mu sync.Mutex
-	n  int // guarded-by: mu
-}
-
-`
+// boxSrc starts the package of the plantModule tests; a planted
+// function follows on line 3.
+const boxSrc = "package box\n\n"
 
 // plantModule writes a throwaway single-package module containing src as
 // box/box.go.

@@ -13,7 +13,7 @@
 // determinism and singleflight tests in internal/experiments) and the
 // race detector's ~10× slowdown on the heaviest compute in the repo buys
 // nothing here.
-package hybriddtm
+package hybriddtm_test
 
 import (
 	"context"

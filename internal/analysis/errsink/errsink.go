@@ -9,12 +9,12 @@
 // //dtmlint:allow errsink annotation stating why losing the artifact is
 // acceptable.
 //
-// Inside the serve packages the net widens: every Write*/Close/Flush/Sync
-// callee with a trailing error result counts, whatever package defines it.
-// The server's writes land on HTTP responses and persistent cache files,
-// where a swallowed error turns into a silently truncated response or a
-// corrupt cache entry; best-effort writes (an error reply already being
-// written, a detached streaming flush) carry the annotation instead.
+// Inside the experiments packages the net widens: every Write*, Close,
+// Flush or Sync callee with a trailing error result counts, whatever
+// package defines it. There the writes land in the persistent result
+// cache, where a swallowed error turns into a lost or corrupt entry;
+// best-effort writes (cleanup of a temp file after a write already
+// failed) carry the annotation instead.
 //
 // A runtime test sees a dropped error only on a write it makes fail:
 // obs.TestJSONLSurfacesWriteError and TestTraceSinkFailureExitsNonzero
@@ -133,9 +133,9 @@ func sinkCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	switch analysis.PkgBase(fn.Pkg().Path()) {
 	case "obs", "report":
 	default:
-		// Outside obs/report the name rule applies only within serve,
-		// where the targets are HTTP response and cache-file writes.
-		if analysis.PkgBase(pass.Pkg.Path()) != "serve" {
+		// Outside obs/report the name rule applies only within
+		// experiments, where the targets are result-cache file writes.
+		if analysis.PkgBase(pass.Pkg.Path()) != "experiments" {
 			return nil
 		}
 	}

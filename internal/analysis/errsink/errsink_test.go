@@ -8,5 +8,5 @@ import (
 )
 
 func TestErrsink(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), errsink.Analyzer, "obs", "serve", "other")
+	analysistest.Run(t, analysistest.TestData(), errsink.Analyzer, "obs", "experiments", "other")
 }

@@ -1,9 +1,9 @@
-// Fixture for errsink's widened serve mode: inside a package named
-// serve, every Write*/Close/Flush/Sync callee with a trailing error
-// counts, whatever package defines it — modeling HTTP response and
-// cache-file writes — while the never-failing stdlib writers
-// (strings.Builder, bytes.Buffer) stay out of the net.
-package serve
+// Fixture for errsink's widened experiments mode: inside a package named
+// experiments, every Write*/Close/Flush/Sync callee with a trailing error
+// counts, whatever package defines it — modeling result-cache file
+// writes — while the never-failing stdlib writers (strings.Builder,
+// bytes.Buffer) stay out of the net.
+package experiments
 
 import (
 	"bytes"
@@ -11,8 +11,8 @@ import (
 	"strings"
 )
 
-// conn stands in for an http.ResponseWriter / net.Conn: not an obs or
-// report type, so outside serve its errors would be ignored.
+// conn stands in for an *os.File: not an obs or report type, so outside
+// experiments its errors would be ignored.
 type conn struct{ dead bool }
 
 func (c *conn) Write(p []byte) (int, error) {
@@ -34,19 +34,19 @@ func handled(c *conn, p []byte) error {
 }
 
 func droppedWrite(c *conn, p []byte) {
-	c.Write(p) // want `unchecked error from serve.Write`
+	c.Write(p) // want `unchecked error from experiments.Write`
 }
 
 func blankWrite(c *conn, p []byte) {
-	_, _ = c.Write(p) // want `error from serve.Write assigned to _`
+	_, _ = c.Write(p) // want `error from experiments.Write assigned to _`
 }
 
 func droppedFlush(c *conn) {
-	defer c.Flush() // want `unchecked error from serve.Flush .deferred`
+	defer c.Flush() // want `unchecked error from experiments.Flush .deferred`
 }
 
 func bestEffort(c *conn, p []byte) {
-	_, _ = c.Write(p) //dtmlint:allow errsink error reply already in flight; delivery is the client's problem
+	_, _ = c.Write(p) //dtmlint:allow errsink already failing; best-effort cleanup
 }
 
 // builders never fail: their Write* methods keep the io signature but

@@ -1,4 +1,4 @@
-// Fixture proving the widened name rule stays confined to serve: in any
+// Fixture proving the widened name rule stays confined to experiments: in any
 // other package, only obs/report callees are sinks, so dropping a local
 // Write error is (for better or worse) not errsink's business.
 package other
@@ -15,5 +15,5 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 func dropped(c *conn, p []byte) {
-	c.Write(p) // not a sink outside obs/report/serve: no finding
+	c.Write(p) // not a sink outside obs/report/experiments: no finding
 }

@@ -21,9 +21,9 @@ import (
 	"sync"
 	"time"
 
+	"hybriddtm"
 	"hybriddtm/internal/core"
 	"hybriddtm/internal/dtm"
-	"hybriddtm/internal/dvfs"
 	"hybriddtm/internal/obs"
 	"hybriddtm/internal/trace"
 )
@@ -60,6 +60,11 @@ type Options struct {
 	// A Config.Tracer serves one run at a time, so NewRunner accepts one
 	// only with Workers set to 1.
 	Workers int
+
+	// CacheDir, when set, is the directory of the result cache (see
+	// cache.go): a run whose result is there is not simulated, and every
+	// result simulated is stored there.
+	CacheDir string
 }
 
 // DefaultOptions runs the full nine-benchmark suite at 10 M instructions
@@ -78,6 +83,8 @@ func DefaultOptions() Options {
 type PolicyFactory struct {
 	Name string
 	New  func() (dtm.Policy, error)
+
+	spec *policySpec // set by PolicyByName; nil keeps a job out of the result cache
 }
 
 // Standard policy parameters used across the evaluation.
@@ -117,33 +124,15 @@ func crossoverGate(stall bool) float64 {
 }
 
 // FGPolicy returns the stand-alone PI-controlled fetch-gating factory.
-func FGPolicy(cfg core.Config) PolicyFactory {
-	return PolicyFactory{Name: "FG", New: func() (dtm.Policy, error) {
-		return dtm.FetchGating(cfg.Trigger, dtm.DefaultFGGain, FGMaxGate)
-	}}
-}
+func FGPolicy(cfg core.Config) PolicyFactory { return named(cfg, "fg", 0, "FG") }
 
 // DVSPolicy returns the binary-DVS factory (§4.1's recommended scheme).
-func DVSPolicy(cfg core.Config) PolicyFactory {
-	return PolicyFactory{Name: "DVS", New: func() (dtm.Policy, error) {
-		ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-		if err != nil {
-			return nil, err
-		}
-		return dtm.DVSBinary(cfg.Trigger, ladder)
-	}}
-}
+func DVSPolicy(cfg core.Config) PolicyFactory { return named(cfg, "dvs", 0, "DVS") }
 
 // PIHybPolicy returns the feedback-controlled hybrid factory tuned for the
 // given DVS variant.
 func PIHybPolicy(cfg core.Config, stall bool) PolicyFactory {
-	return PolicyFactory{Name: "PI-Hyb", New: func() (dtm.Policy, error) {
-		ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-		if err != nil {
-			return nil, err
-		}
-		return dtm.PIHyb(cfg.Trigger, dtm.DefaultFGGain, crossoverGate(stall), ladder)
-	}}
+	return named(cfg, "pi-hyb", crossoverGate(stall), "PI-Hyb")
 }
 
 // HybPolicy returns the feedback-free hybrid factory tuned for the given
@@ -153,13 +142,7 @@ func HybPolicy(cfg core.Config, stall bool) PolicyFactory {
 	if !stall {
 		gate = CrossoverGateIdeal
 	}
-	return PolicyFactory{Name: "Hyb", New: func() (dtm.Policy, error) {
-		ladder, err := dvfs.Binary(cfg.Tech, cfg.VMinFrac)
-		if err != nil {
-			return nil, err
-		}
-		return dtm.Hyb(cfg.Trigger, HybDelta, gate, ladder)
-	}}
+	return named(cfg, "hyb", gate, "Hyb")
 }
 
 // Runner executes simulations with per-benchmark baseline caching: the
@@ -174,6 +157,9 @@ type Runner struct {
 	workers int
 	log     *slog.Logger  // nil disables logging
 	metrics *obs.Registry // nil disables metric aggregation
+
+	cache   *resultCache // nil disables the result cache
+	sources string       // source fingerprint in every cache key
 
 	mu        sync.Mutex
 	baselines map[string]*baselineEntry
@@ -208,13 +194,23 @@ func NewRunner(opts Options) (*Runner, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{
+	r := &Runner{
 		opts:      opts,
 		workers:   workers,
 		log:       opts.Logger,
 		metrics:   opts.Metrics,
 		baselines: make(map[string]*baselineEntry),
-	}, nil
+	}
+	if opts.CacheDir != "" {
+		var err error
+		if r.cache, err = openCache(opts.CacheDir); err != nil {
+			return nil, err
+		}
+		if r.sources, err = hybriddtm.SourceFingerprint(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // Options returns the runner's options.

@@ -35,11 +35,7 @@ func EV6Domains(fp *floorplan.Floorplan) dtm.Domains {
 
 // LocalTogglingPolicy returns the local-toggling factory at the standard
 // gain and duty bound.
-func LocalTogglingPolicy(cfg core.Config) PolicyFactory {
-	return PolicyFactory{Name: "Local", New: func() (dtm.Policy, error) {
-		return dtm.LocalToggling(cfg.Trigger, dtm.DefaultFGGain, FGMaxGate, EV6Domains(floorplan.EV6()))
-	}}
-}
+func LocalTogglingPolicy(cfg core.Config) PolicyFactory { return named(cfg, "local", 0, "Local") }
 
 // LocalVsFGResult reports the §2 comparison the paper summarizes in one
 // sentence: "We have found that local toggling confers little advantage

@@ -32,19 +32,22 @@ import (
 // profile (job < 0) that the batch computes ahead of its jobs and
 // publishes through base.
 type run struct {
-	job   int
-	cfg   core.Config // as submitted, before instrument
-	prof  trace.Profile
-	base  *baselineEntry
-	sim   *core.Simulator
-	start time.Time
-	res   core.Result
+	job    int
+	cfg    core.Config // as submitted, before instrument
+	prof   trace.Profile
+	base   *baselineEntry
+	warm   string // core.WarmKey; set when the run simulates
+	key    string // result cache key; "" when the run is not cached
+	cached bool   // res came from the result cache
+	sim    *core.Simulator
+	start  time.Time
+	res    core.Result
 }
 
-// shares reports whether the run may follow a cohort's core: its own
-// config carries no Tracer or Profiler. Those serve one run at a time and
-// may be handed to several runs of a batch, while the per-run
-// MetricsTracer that instrument adds is the run's own.
+// shares reports whether the run may follow a cohort's core, and have
+// its result cached: its own config carries no Tracer or Profiler. Those
+// serve one run at a time and may be handed to several runs of a batch,
+// while the per-run MetricsTracer that instrument adds is the run's own.
 func (u *run) shares() bool { return u.cfg.Tracer == nil && u.cfg.Profiler == nil }
 
 // claim is some runs that go on from a stopped cohort.
@@ -67,6 +70,7 @@ type batch struct {
 	jobs   []Job
 	groups [][]*run // the runs of each warm state
 	runs   []*run
+	sims   int // runs that simulate
 	prog   *progress
 
 	mu    sync.Mutex
@@ -82,50 +86,74 @@ type batch struct {
 // plan groups a batch's runs by warm key, in order of first submission:
 // the profiles of bases, whose baselines are wanted without jobs, then the
 // jobs. The baseline of every profile not already cached or in flight
-// leads its group, and the batch owns those baselines' cache entries until
-// it has run them.
+// leads its group, and the batch owns those baselines' entries until it
+// has run them. A run found in the result cache joins no group: it is
+// finished before the batch starts.
 func (r *Runner) plan(jobs []Job, bases []trace.Profile) (*batch, error) {
-	keys := make([]string, len(jobs))
-	baseKeys := make(map[string]string) // by profile name
-	baseKey := func(prof trace.Profile) error {
-		var err error
-		if _, ok := baseKeys[prof.Name]; !ok {
-			baseKeys[prof.Name], err = core.WarmKey(r.opts.Config, prof)
+	// The cache lookups and warm keys come first, outside the lock.
+	prepare := func(u *run, spec *policySpec) error {
+		if err := r.lookup(u, spec); err != nil || u.cached {
+			return err
 		}
+		var err error
+		u.warm, err = core.WarmKey(u.cfg, u.prof)
 		return err
 	}
+	baseRuns := make(map[string]*run) // by profile name
+	baseRun := func(prof trace.Profile) error {
+		if _, ok := baseRuns[prof.Name]; ok {
+			return nil
+		}
+		u := &run{job: -1, cfg: r.opts.Config, prof: prof}
+		baseRuns[prof.Name] = u
+		return prepare(u, nil)
+	}
 	for _, p := range bases {
-		if err := baseKey(p); err != nil {
+		if err := baseRun(p); err != nil {
 			return nil, err
 		}
 	}
+	jobRuns := make([]*run, len(jobs))
 	for i, j := range jobs {
-		var err error
-		if keys[i], err = core.WarmKey(j.Config, j.Profile); err != nil {
+		jobRuns[i] = &run{job: i, cfg: j.Config, prof: j.Profile}
+		if err := prepare(jobRuns[i], j.Factory.spec); err != nil {
 			return nil, err
 		}
-		if err := baseKey(j.Profile); err != nil {
+		if err := baseRun(j.Profile); err != nil {
 			return nil, err
 		}
 	}
-	b := &batch{r: r, jobs: jobs, prog: r.newProgress(len(jobs))}
+	b := &batch{r: r, jobs: jobs}
 	b.cond = sync.NewCond(&b.mu)
 	byKey := make(map[string]int)
-	add := func(key string, u *run) {
-		g, ok := byKey[key]
+	hits, simJobs := 0, 0
+	add := func(u *run) {
+		b.runs = append(b.runs, u)
+		if u.cached {
+			hits++
+			return
+		}
+		b.sims++
+		if u.job >= 0 {
+			simJobs++
+		}
+		g, ok := byKey[u.warm]
 		if !ok {
 			g = len(b.groups)
-			byKey[key] = g
+			byKey[u.warm] = g
 			b.groups = append(b.groups, nil)
 		}
 		b.groups[g] = append(b.groups[g], u)
-		b.runs = append(b.runs, u)
 	}
 	addBase := func(prof trace.Profile) {
 		if _, ok := r.baselines[prof.Name]; !ok {
-			e := &baselineEntry{done: make(chan struct{})}
-			r.baselines[prof.Name] = e
-			add(baseKeys[prof.Name], &run{job: -1, cfg: r.opts.Config, prof: prof, base: e})
+			u := baseRuns[prof.Name]
+			u.base = &baselineEntry{done: make(chan struct{}), res: u.res}
+			r.baselines[prof.Name] = u.base
+			if u.cached {
+				close(u.base.done)
+			}
+			add(u)
 		}
 	}
 	r.mu.Lock()
@@ -135,9 +163,28 @@ func (r *Runner) plan(jobs []Job, bases []trace.Profile) (*batch, error) {
 	}
 	for i, j := range jobs {
 		addBase(j.Profile)
-		add(keys[i], &run{job: i, cfg: j.Config, prof: j.Profile})
+		add(jobRuns[i])
+	}
+	b.prog = r.newProgress(simJobs)
+	if r.metrics != nil && r.cache != nil {
+		r.metrics.Counter(obs.MetricPoolCacheHits).Add(int64(hits))
 	}
 	return b, nil
+}
+
+// lookup gives a run its result cache key and, on a hit, its cached
+// result. A run without a key — no cache, a Tracer or Profiler, or a job
+// whose factory has no spec — always simulates.
+func (r *Runner) lookup(u *run, spec *policySpec) error {
+	if r.cache == nil || !u.shares() || (u.job >= 0 && spec == nil) {
+		return nil
+	}
+	var err error
+	if u.key, err = runKey(r.sources, u.cfg, u.prof, r.opts.Instructions, spec); err != nil {
+		return err
+	}
+	u.res, u.cached = r.cache.get(u.key)
+	return nil
 }
 
 // close releases what a batch leaves behind: it ends the traces of runs
@@ -170,8 +217,8 @@ func (b *batch) work(ctx context.Context) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	workers := b.r.workers
-	if workers > len(b.runs) {
-		workers = len(b.runs)
+	if workers > b.sims {
+		workers = b.sims
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -334,8 +381,7 @@ func (b *batch) follow(ctx context.Context, c *claim, adopt bool) ([]*claim, err
 		if err != nil {
 			return nil, err
 		}
-		b.finish(u, res)
-		return nil, nil
+		return nil, b.finish(u, res)
 	}
 	left := append([]*run(nil), c.runs...)
 	var steps uint64
@@ -355,7 +401,9 @@ func (b *batch) follow(ctx context.Context, c *claim, adopt bool) ([]*claim, err
 			if err != nil {
 				return nil, err
 			}
-			b.finish(u, res)
+			if err := b.finish(u, res); err != nil {
+				return nil, err
+			}
 		}
 		left = kept
 		groups := byActuation(left)
@@ -408,17 +456,24 @@ func (b *batch) countSteps(n uint64) {
 	}
 }
 
-// finish records a finished run: a baseline fills its cache entry, a job
-// counts toward the pool metrics and the progress log.
-func (b *batch) finish(u *run, res core.Result) {
+// finish records a finished run: a keyed run stores its result in the
+// result cache, a baseline fills its entry, a job counts toward the pool
+// metrics and the progress log.
+func (b *batch) finish(u *run, res core.Result) error {
 	u.res = res
 	u.sim = nil // drop the run's core now rather than with the batch
+	if u.key != "" {
+		if err := b.r.cache.put(u.key, res); err != nil {
+			return err
+		}
+	}
 	if e := u.base; e != nil {
 		e.res = res
 		close(e.done)
 		b.r.ranBaseline(u.prof, res)
-		return
+		return nil
 	}
 	b.r.ranJob(b.jobs[u.job], res, u.start)
 	b.prog.done()
+	return nil
 }

@@ -2,7 +2,6 @@ package hotspot
 
 import (
 	"fmt"
-	"strconv"
 
 	"hybriddtm/internal/floorplan"
 	"hybriddtm/internal/geom"
@@ -56,12 +55,10 @@ func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, rows, cols int) (*
 	cellH := die.H / float64(rows)
 	cellArea := cellW * cellH
 
-	names := make([]string, nCells+numExtra)
 	caps := make([]float64, nCells+numExtra)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			i := r*cols + c
-			names[i] = "cell_" + strconv.Itoa(r) + "_" + strconv.Itoa(c)
 			caps[i] = cfg.CapFactor * cfg.SiliconVolCap * cellArea * cfg.DieThickness
 		}
 	}
@@ -76,20 +73,16 @@ func NewGridModel(fp *floorplan.Floorplan, cfg PackageConfig, rows, cols int) (*
 	cuCap := func(area, thickness float64) float64 {
 		return cfg.CapFactor * cfg.CopperVolCap * area * thickness
 	}
-	names[nCells+spCenter] = extraNames[spCenter]
 	caps[nCells+spCenter] = cuCap(dieArea, cfg.SpreaderThickness)
 	for _, e := range []int{spN, spS, spE, spW} {
-		names[nCells+e] = extraNames[e]
 		caps[nCells+e] = cuCap(spEdgeArea, cfg.SpreaderThickness)
 	}
-	names[nCells+sinkCenter] = extraNames[sinkCenter]
 	caps[nCells+sinkCenter] = cuCap(spArea, cfg.SinkThickness)
 	for _, e := range []int{sinkN, sinkS, sinkE, sinkW} {
-		names[nCells+e] = extraNames[e]
 		caps[nCells+e] = cuCap(sinkEdgeArea, cfg.SinkThickness)
 	}
 
-	nw, err := rc.NewNetwork(names, caps)
+	nw, err := rc.NewNetwork(caps)
 	if err != nil {
 		return nil, err
 	}

@@ -137,11 +137,6 @@ const (
 	numExtra
 )
 
-var extraNames = [numExtra]string{
-	"spreader_center", "spreader_N", "spreader_S", "spreader_E", "spreader_W",
-	"sink_center", "sink_N", "sink_S", "sink_E", "sink_W",
-}
-
 // NewModel derives the RC network from the floorplan and package config.
 func NewModel(fp *floorplan.Floorplan, cfg PackageConfig) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
@@ -157,11 +152,9 @@ func NewModel(fp *floorplan.Floorplan, cfg PackageConfig) (*Model, error) {
 			die.W, die.H, cfg.SpreaderSide)
 	}
 
-	names := make([]string, nB+numExtra)
 	caps := make([]float64, nB+numExtra)
 	for i := 0; i < nB; i++ {
 		b := fp.Block(i)
-		names[i] = b.Name
 		caps[i] = cfg.CapFactor * cfg.SiliconVolCap * b.Rect.Area() * cfg.DieThickness
 	}
 
@@ -180,20 +173,16 @@ func NewModel(fp *floorplan.Floorplan, cfg PackageConfig) (*Model, error) {
 	cuCap := func(area, thickness float64) float64 {
 		return cfg.CapFactor * cfg.CopperVolCap * area * thickness
 	}
-	names[nB+spCenter] = extraNames[spCenter]
 	caps[nB+spCenter] = cuCap(dieArea, cfg.SpreaderThickness)
 	for _, e := range []int{spN, spS, spE, spW} {
-		names[nB+e] = extraNames[e]
 		caps[nB+e] = cuCap(spEdgeArea, cfg.SpreaderThickness)
 	}
-	names[nB+sinkCenter] = extraNames[sinkCenter]
 	caps[nB+sinkCenter] = cuCap(spArea, cfg.SinkThickness)
 	for _, e := range []int{sinkN, sinkS, sinkE, sinkW} {
-		names[nB+e] = extraNames[e]
 		caps[nB+e] = cuCap(sinkEdgeArea, cfg.SinkThickness)
 	}
 
-	nw, err := rc.NewNetwork(names, caps)
+	nw, err := rc.NewNetwork(caps)
 	if err != nil {
 		return nil, err
 	}
@@ -295,9 +284,6 @@ func (m *Model) NumBlocks() int { return m.nBlocks }
 
 // NumNodes returns the total node count including package nodes.
 func (m *Model) NumNodes() int { return m.nBlocks + numExtra }
-
-// NodeName returns the name of node i (blocks first, then package nodes).
-func (m *Model) NodeName(i int) string { return m.nw.NodeName(i) }
 
 // Time returns simulated seconds accumulated by Step since the last Init.
 func (m *Model) Time() float64 { return m.time }

@@ -71,7 +71,7 @@ func TestZeroPowerIsAmbient(t *testing.T) {
 	for i, temp := range temps {
 		if math.Abs(temp-m.Config().Ambient) > 1e-9 {
 			t.Errorf("block %s at %v °C with zero power, want ambient %v",
-				m.NodeName(i), temp, m.Config().Ambient)
+				m.Floorplan().Block(i).Name, temp, m.Config().Ambient)
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestHotterBlockForMorePower(t *testing.T) {
 	for i, temp := range temps {
 		if i != intReg && temp >= temps[intReg] {
 			t.Errorf("block %s (%v°C) at least as hot as boosted IntReg (%v°C)",
-				m.NodeName(i), temp, temps[intReg])
+				m.Floorplan().Block(i).Name, temp, temps[intReg])
 		}
 	}
 }
@@ -127,7 +127,7 @@ func TestMonotoneInPower(t *testing.T) {
 	for i := range lo {
 		if hi[i] < lo[i]-1e-9 {
 			t.Errorf("block %s cooler (%v) at higher power than lower (%v)",
-				m.NodeName(i), hi[i], lo[i])
+				m.Floorplan().Block(i).Name, hi[i], lo[i])
 		}
 	}
 }
@@ -174,7 +174,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	m.InitUniform(ambient)
 	for i, v := range m.BlockTemps(nil) {
 		if math.Abs(v-ambient) > 1e-9 {
-			t.Fatalf("block %s starts at %v °C, want the ambient %v °C", m.NodeName(i), v, ambient)
+			t.Fatalf("block %s starts at %v °C, want the ambient %v °C", m.Floorplan().Block(i).Name, v, ambient)
 		}
 	}
 	// Die time constants are ms-scale but the sink takes ~100s; run a long
@@ -187,7 +187,7 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	got := m.BlockTemps(nil)
 	for i := range got {
 		if math.Abs(got[i]-want[i]) > 0.05 {
-			t.Errorf("block %s: transient %v, steady %v", m.NodeName(i), got[i], want[i])
+			t.Errorf("block %s: transient %v, steady %v", m.Floorplan().Block(i).Name, got[i], want[i])
 		}
 	}
 }
@@ -277,7 +277,7 @@ func TestBEMatchesRK4OnTransient(t *testing.T) {
 	tRK := mRK.BlockTemps(nil)
 	for i := range tBE {
 		if math.Abs(tBE[i]-tRK[i]) > 0.05 {
-			t.Errorf("block %s: BE %v vs RK4 %v", mBE.NodeName(i), tBE[i], tRK[i])
+			t.Errorf("block %s: BE %v vs RK4 %v", mBE.Floorplan().Block(i).Name, tBE[i], tRK[i])
 		}
 	}
 }
@@ -317,7 +317,7 @@ func TestMaxBlockTemp(t *testing.T) {
 	}
 	got, temp := m.MaxBlockTemp()
 	if got != idx {
-		t.Errorf("MaxBlockTemp index = %s, want %s", m.NodeName(got), floorplan.FPMul)
+		t.Errorf("MaxBlockTemp index = %s, want %s", m.Floorplan().Block(got).Name, floorplan.FPMul)
 	}
 	if temp <= m.Config().Ambient {
 		t.Errorf("hottest block %v not above ambient", temp)

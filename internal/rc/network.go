@@ -35,9 +35,8 @@ import (
 // stepping or solving. A Network owns scratch state and factorization
 // caches: one instance must not be stepped concurrently.
 type Network struct {
-	names []string
-	cap   []float64 // thermal capacitance per node, J/K
-	gAmb  []float64 // conductance to ambient per node, W/K
+	cap  []float64 // thermal capacitance per node, J/K
+	gAmb []float64 // conductance to ambient per node, W/K
 
 	// Assembly state: the diagonal accumulates in call order (bit-compatible
 	// with the old dense in-place assembly); off-diagonals are recorded as
@@ -59,35 +58,28 @@ type Network struct {
 	shift   []float64 // C/dt diagonal shift scratch, W/K
 }
 
-// NewNetwork creates a network with the given node names and capacitances.
-// Every capacitance must be positive: zero-capacitance (purely resistive)
-// nodes should be folded into the resistances by the model builder.
-func NewNetwork(names []string, capacitance []float64) (*Network, error) {
-	n := len(names)
+// NewNetwork creates a network with one node per capacitance. Every
+// capacitance must be positive: zero-capacitance (purely resistive) nodes
+// should be folded into the resistances by the model builder.
+func NewNetwork(capacitance []float64) (*Network, error) {
+	n := len(capacitance)
 	if n == 0 {
 		return nil, errors.New("rc: network needs at least one node")
 	}
-	if len(capacitance) != n {
-		return nil, fmt.Errorf("rc: %d names but %d capacitances", n, len(capacitance))
-	}
 	for i, c := range capacitance {
 		if !(c > 0) || math.IsInf(c, 0) {
-			return nil, fmt.Errorf("rc: node %q capacitance %v not positive finite", names[i], c)
+			return nil, fmt.Errorf("rc: node %d capacitance %v not positive finite", i, c)
 		}
 	}
 	return &Network{
-		names: append([]string(nil), names...),
-		cap:   append([]float64(nil), capacitance...),
-		diag:  make([]float64, n),
-		gAmb:  make([]float64, n),
+		cap:  append([]float64(nil), capacitance...),
+		diag: make([]float64, n),
+		gAmb: make([]float64, n),
 	}, nil
 }
 
 // NumNodes returns the node count.
-func (nw *Network) NumNodes() int { return len(nw.names) }
-
-// NodeName returns the name of node i.
-func (nw *Network) NodeName(i int) string { return nw.names[i] }
+func (nw *Network) NumNodes() int { return len(nw.cap) }
 
 // Capacitance returns the thermal capacitance of node i in J/K.
 func (nw *Network) Capacitance(i int) float64 { return nw.cap[i] }
@@ -135,8 +127,8 @@ func (nw *Network) AddToAmbient(i int, r float64) error {
 }
 
 func (nw *Network) checkNode(i int) error {
-	if i < 0 || i >= len(nw.names) {
-		return fmt.Errorf("rc: node index %d out of range [0,%d)", i, len(nw.names))
+	if i < 0 || i >= len(nw.cap) {
+		return fmt.Errorf("rc: node index %d out of range [0,%d)", i, len(nw.cap))
 	}
 	return nil
 }
@@ -160,7 +152,7 @@ func (nw *Network) Finalize() error {
 	if !hasAmbient {
 		return errors.New("rc: no path to ambient; steady state undefined")
 	}
-	nw.g = fromTriplets(len(nw.names), nw.off, nw.diag)
+	nw.g = fromTriplets(len(nw.cap), nw.off, nw.diag)
 	if !nw.connected() {
 		nw.g = nil
 		return errors.New("rc: network graph is disconnected")
@@ -168,7 +160,7 @@ func (nw *Network) Finalize() error {
 	nw.finalized = true
 	nw.off = nil // assembly triplets are folded into the CSR now
 	nw.beCache = make(map[uint64]*Cholesky)
-	n := len(nw.names)
+	n := len(nw.cap)
 	nw.k1 = make([]float64, n)
 	nw.k2 = make([]float64, n)
 	nw.k3 = make([]float64, n)
@@ -182,7 +174,7 @@ func (nw *Network) Finalize() error {
 // ambient-connected nodes as linked through ambient as well (two separate
 // islands each tied to ambient are physically fine).
 func (nw *Network) connected() bool {
-	n := len(nw.names)
+	n := len(nw.cap)
 	seen := make([]bool, n)
 	var stack []int
 	// Seed with node 0 plus every ambient-connected node: ambient joins them.
@@ -259,7 +251,7 @@ func (nw *Network) factor(shift []float64) (*Cholesky, error) {
 // SteadyState solves G θ = P for the steady-state temperature rise above
 // ambient given the power vector p (W per node).
 func (nw *Network) SteadyState(p []float64) ([]float64, error) {
-	out := make([]float64, len(nw.names))
+	out := make([]float64, len(nw.cap))
 	if err := nw.SteadyStateInto(out, p); err != nil {
 		return nil, err
 	}
@@ -273,11 +265,11 @@ func (nw *Network) SteadyStateInto(dst, p []float64) error {
 	if !nw.finalized {
 		return errors.New("rc: SteadyState before Finalize")
 	}
-	if len(p) != len(nw.names) {
-		return fmt.Errorf("rc: power vector length %d, want %d", len(p), len(nw.names))
+	if len(p) != len(nw.cap) {
+		return fmt.Errorf("rc: power vector length %d, want %d", len(p), len(nw.cap))
 	}
-	if len(dst) != len(nw.names) {
-		return fmt.Errorf("rc: dst length %d, want %d", len(dst), len(nw.names))
+	if len(dst) != len(nw.cap) {
+		return fmt.Errorf("rc: dst length %d, want %d", len(dst), len(nw.cap))
 	}
 	if nw.ss == nil {
 		f, err := nw.factor(nil) // first-call factorization, cached for every later solve
@@ -330,7 +322,7 @@ func (nw *Network) StepRK4(theta, p []float64, dt float64) error {
 	if !nw.finalized {
 		return errors.New("rc: StepRK4 before Finalize")
 	}
-	if len(theta) != len(nw.names) || len(p) != len(nw.names) {
+	if len(theta) != len(nw.cap) || len(p) != len(nw.cap) {
 		return fmt.Errorf("rc: state/power length mismatch")
 	}
 	if dt <= 0 {
@@ -375,7 +367,7 @@ func (nw *Network) StepBE(theta, p []float64, dt float64) error {
 	if !nw.finalized {
 		return errors.New("rc: StepBE before Finalize")
 	}
-	if len(theta) != len(nw.names) || len(p) != len(nw.names) {
+	if len(theta) != len(nw.cap) || len(p) != len(nw.cap) {
 		return fmt.Errorf("rc: state/power length mismatch")
 	}
 	if dt <= 0 {

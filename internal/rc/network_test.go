@@ -3,6 +3,7 @@ package rc
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -12,7 +13,7 @@ import (
 // θ(t) = p·r·(1 − e^{−t/(r·c)}).
 func oneNode(t *testing.T, c, r float64) *Network {
 	t.Helper()
-	nw, err := NewNetwork([]string{"n"}, []float64{c})
+	nw, err := NewNetwork([]float64{c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSteadyStateTwoNode(t *testing.T) {
 	// Steady state: all power flows through both resistances:
 	// θ1 = p·rAmb, θ0 = p·(rAmb + r12).
 	const p, r12, rAmb = 3.0, 0.5, 2.0
-	nw, err := NewNetwork([]string{"a", "b"}, []float64{1, 1})
+	nw, err := NewNetwork([]float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSteadyStateTwoNode(t *testing.T) {
 }
 
 func TestParallelResistancesCompose(t *testing.T) {
-	nw, err := NewNetwork([]string{"n"}, []float64{1})
+	nw, err := NewNetwork([]float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +135,16 @@ func TestParallelResistancesCompose(t *testing.T) {
 }
 
 func TestBuilderValidation(t *testing.T) {
-	if _, err := NewNetwork(nil, nil); err == nil {
+	if _, err := NewNetwork(nil); err == nil {
 		t.Error("NewNetwork accepted empty node list")
 	}
-	if _, err := NewNetwork([]string{"a"}, []float64{0}); err == nil {
-		t.Error("NewNetwork accepted zero capacitance")
+	if _, err := NewNetwork([]float64{1, 0}); err == nil || !strings.Contains(err.Error(), "node 1 ") {
+		t.Errorf("NewNetwork on zero capacitance at node 1: err = %v", err)
 	}
-	if _, err := NewNetwork([]string{"a"}, []float64{1, 2}); err == nil {
-		t.Error("NewNetwork accepted length mismatch")
+	if _, err := NewNetwork([]float64{math.Inf(1)}); err == nil {
+		t.Error("NewNetwork accepted infinite capacitance")
 	}
-	nw, _ := NewNetwork([]string{"a", "b"}, []float64{1, 1})
+	nw, _ := NewNetwork([]float64{1, 1})
 	if err := nw.AddResistance(0, 0, 1); err == nil {
 		t.Error("AddResistance accepted self loop")
 	}
@@ -162,7 +163,7 @@ func TestBuilderValidation(t *testing.T) {
 }
 
 func TestFinalizeRequiresAmbient(t *testing.T) {
-	nw, _ := NewNetwork([]string{"a", "b"}, []float64{1, 1})
+	nw, _ := NewNetwork([]float64{1, 1})
 	if err := nw.AddResistance(0, 1, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestFinalizeRequiresAmbient(t *testing.T) {
 }
 
 func TestFinalizeRequiresConnectivity(t *testing.T) {
-	nw, _ := NewNetwork([]string{"a", "b"}, []float64{1, 1})
+	nw, _ := NewNetwork([]float64{1, 1})
 	if err := nw.AddToAmbient(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestFinalizeRequiresConnectivity(t *testing.T) {
 
 func TestTwoIslandsViaAmbientOK(t *testing.T) {
 	// Two nodes each tied only to ambient: physically fine.
-	nw, _ := NewNetwork([]string{"a", "b"}, []float64{1, 1})
+	nw, _ := NewNetwork([]float64{1, 1})
 	if err := nw.AddToAmbient(0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -209,13 +210,11 @@ func TestNoMutationAfterFinalize(t *testing.T) {
 // randomNetwork builds a random connected RC network with one ambient path.
 func randomNetwork(rng *rand.Rand) *Network {
 	n := rng.Intn(10) + 2
-	names := make([]string, n)
 	caps := make([]float64, n)
-	for i := range names {
-		names[i] = string(rune('a' + i))
+	for i := range caps {
 		caps[i] = 0.1 + rng.Float64()
 	}
-	nw, err := NewNetwork(names, caps)
+	nw, err := NewNetwork(caps)
 	if err != nil {
 		panic(err)
 	}
@@ -404,7 +403,7 @@ func TestStepErrors(t *testing.T) {
 	if err := nw.StepRK4([]float64{0, 0}, []float64{0}, 1); err == nil {
 		t.Error("StepRK4 accepted mismatched state")
 	}
-	nw2, _ := NewNetwork([]string{"a"}, []float64{1})
+	nw2, _ := NewNetwork([]float64{1})
 	_ = nw2.AddToAmbient(0, 1)
 	if err := nw2.StepRK4([]float64{0}, []float64{0}, 1); err == nil {
 		t.Error("StepRK4 allowed before Finalize")

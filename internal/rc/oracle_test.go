@@ -299,13 +299,11 @@ type assemblyCase struct {
 // added in descending column order as a contiguous block.
 func randomAssembly(rng *rand.Rand) assemblyCase {
 	n := 1 + rng.Intn(300)
-	names := make([]string, n)
 	caps := make([]float64, n)
-	for i := range names {
-		names[i] = "node"
+	for i := range caps {
 		caps[i] = 0.01 + rng.Float64()
 	}
-	nw, err := NewNetwork(names, caps)
+	nw, err := NewNetwork(caps)
 	if err != nil {
 		panic(err)
 	}

@@ -16,13 +16,11 @@ import (
 // hotspot grid model, which is what the profile envelope is tuned for.
 func gridNetwork(rows, cols int) *Network {
 	n := rows * cols
-	names := make([]string, n)
 	caps := make([]float64, n)
-	for i := range names {
-		names[i] = "cell"
+	for i := range caps {
 		caps[i] = 0.01 + 0.001*float64(i%13)
 	}
-	nw, err := NewNetwork(names, caps)
+	nw, err := NewNetwork(caps)
 	if err != nil {
 		panic(err)
 	}

@@ -1,7 +1,7 @@
 // End-to-end tests for the provenance/reporting surface: manifests
 // written beside artifacts, trace-sink failures surfacing in the exit
 // code, the BENCH snapshot pipeline, and dtmreport's byte-stable report.
-package hybriddtm
+package hybriddtm_test
 
 import (
 	"bytes"

@@ -2,21 +2,16 @@
 // then run each with a tiny workload and assert it exits 0 and prints
 // something. These catch wiring regressions (flag parsing, factory
 // plumbing, ctx threading) that package tests miss.
-package hybriddtm
+package hybriddtm_test
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
-	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 func exeName(name string) string {
@@ -60,11 +55,11 @@ func TestSmokeBinaries(t *testing.T) {
 		{"customfloorplan", "customfloorplan", nil},
 	}
 
-	covered := map[string]bool{"dtmserve": true} // the round trip below
+	covered := map[string]bool{}
 	for _, tc := range cases {
 		covered[tc.bin] = true
 	}
-	for _, name := range []string{"dtmsim", "dtmserve", "experiments", "dtmreport", "hotspot", "tracegen",
+	for _, name := range []string{"dtmsim", "experiments", "dtmreport", "hotspot", "tracegen",
 		"quickstart", "crossover", "proactive", "thermalmap", "customfloorplan"} {
 		if !covered[name] {
 			t.Fatalf("binary %s missing from smoke cases", name)
@@ -89,11 +84,35 @@ func TestSmokeBinaries(t *testing.T) {
 		})
 	}
 
-	// dtmserve round trip: every example job submitted over HTTP runs to
-	// done, a traced job's trace streams, and an interrupt drains cleanly.
-	t.Run("dtmserve-jobsfile", func(t *testing.T) {
+	// Result cache: a warm run reads every result back and prints what
+	// the cold run printed, and a snapshot of cache hits is refused.
+	t.Run("experiments-cache", func(t *testing.T) {
 		t.Parallel()
-		smokeServe(t, filepath.Join(dir, exeName("dtmserve")), filepath.Join("examples", "serve", "jobs.jsonl"))
+		bin := filepath.Join(dir, exeName("experiments"))
+		args := []string{"-cache", t.TempDir(), "-insts", "200000", "-bench", "gzip", "-workers", "2", "3a"}
+		var outs [2][]byte
+		var logs [2]string
+		for i := range outs {
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(bin, args...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("run %d: %v\n%s", i, err, stderr.String())
+			}
+			outs[i], logs[i] = stdout.Bytes(), stderr.String()
+		}
+		if !bytes.Equal(outs[0], outs[1]) {
+			t.Errorf("warm output differs from cold:\n%s\nvs\n%s", outs[1], outs[0])
+		}
+		hits := regexp.MustCompile(`pool\.cache_hits +counter +(\d+)`)
+		cold, warm := hits.FindStringSubmatch(logs[0]), hits.FindStringSubmatch(logs[1])
+		if cold == nil || cold[1] != "0" || warm == nil || warm[1] == "0" {
+			t.Errorf("want cache hits on the warm run only:\ncold:\n%s\nwarm:\n%s", logs[0], logs[1])
+		}
+		out, err := exec.Command(bin, append([]string{"-snapshot-out", t.TempDir()}, args...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "-snapshot-out") {
+			t.Errorf("-cache with -snapshot-out: err %v, output %s", err, out)
+		}
 	})
 
 	// tracegen round-trip: the recorded trace must be inspectable.
@@ -114,117 +133,4 @@ func TestSmokeBinaries(t *testing.T) {
 			t.Error("inspect produced no output")
 		}
 	})
-}
-
-// smokeServe starts dtmserve on a free port, submits every job config in
-// jobsFile, polls until each is done, fetches each traced job's trace,
-// then interrupts the server and requires exit 0.
-func smokeServe(t *testing.T, bin, jobsFile string) {
-	t.Helper()
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-quiet")
-	stderr, err := cmd.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer cmd.Process.Kill() //nolint:errcheck // no-op once the server has exited
-	// The server prints its address once it listens; the rest of stderr
-	// is kept for the failure message.
-	var log bytes.Buffer
-	sc := bufio.NewScanner(stderr)
-	base := ""
-	for base == "" && sc.Scan() {
-		log.WriteString(sc.Text() + "\n")
-		if _, addr, ok := strings.Cut(sc.Text(), "listening on "); ok {
-			base = addr
-		}
-	}
-	if base == "" {
-		t.Fatalf("dtmserve never reported its address:\n%s", log.String())
-	}
-	rest := make(chan struct{})
-	go func() {
-		_, _ = io.Copy(&log, stderr)
-		close(rest)
-	}()
-
-	data, err := os.ReadFile(jobsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids, traced []string
-	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
-		resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(line))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sub struct{ ID string }
-		err = json.NewDecoder(resp.Body).Decode(&sub)
-		resp.Body.Close()
-		if err != nil || (resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK) {
-			t.Fatalf("submit %s: HTTP %d: %v", line, resp.StatusCode, err)
-		}
-		ids = append(ids, sub.ID)
-		var jc struct{ Trace bool }
-		if err := json.Unmarshal(line, &jc); err != nil {
-			t.Fatalf("%s: %v", line, err)
-		}
-		if jc.Trace {
-			traced = append(traced, sub.ID)
-		}
-	}
-	if len(traced) == 0 {
-		t.Fatalf("%s has no traced job", jobsFile)
-	}
-
-	deadline := time.Now().Add(5 * time.Minute)
-	for _, id := range ids {
-		for state := ""; state != "done"; {
-			if state == "failed" || state == "canceled" || time.Now().After(deadline) {
-				t.Fatalf("job %s ended %q", id, state)
-			}
-			time.Sleep(20 * time.Millisecond)
-			resp, err := http.Get(base + "/v1/jobs/" + id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var st struct{ State string }
-			err = json.NewDecoder(resp.Body).Decode(&st)
-			resp.Body.Close()
-			if err != nil {
-				t.Fatalf("status %s: %v", id, err)
-			}
-			state = st.State
-		}
-	}
-
-	for _, id := range traced {
-		resp, err := http.Get(base + "/v1/jobs/" + id + "/trace")
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("trace %s: HTTP %d: %v", id, resp.StatusCode, err)
-		}
-		lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
-		if len(lines) < 2 || !json.Valid(lines[0]) || !json.Valid(lines[len(lines)-1]) {
-			t.Fatalf("trace %s is not a JSONL event stream (%d bytes)", id, len(body))
-		}
-	}
-
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-rest:
-	case <-time.After(time.Minute):
-		t.Fatalf("dtmserve still running a minute after the interrupt:\n%s", log.String())
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("dtmserve after interrupt: %v\n%s", err, log.String())
-	}
 }

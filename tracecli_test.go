@@ -3,7 +3,7 @@
 // trace-file contract (obs.SchemaVersion) as seen from outside the
 // process — what CI's observability job and any downstream analysis
 // script rely on.
-package hybriddtm
+package hybriddtm_test
 
 import (
 	"bufio"
