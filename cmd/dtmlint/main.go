@@ -1,5 +1,5 @@
 // Command dtmlint is the repository's domain linter: a multichecker over
-// the two dtmlint analyzers (errsink and floatzone — see
+// the three dtmlint analyzers (errsink, floatzone, lockcheck — see
 // internal/analysis/... and DESIGN.md "Static analysis"), the checks
 // that no runtime test makes.
 //
@@ -19,11 +19,13 @@ import (
 	"hybriddtm/internal/analysis"
 	"hybriddtm/internal/analysis/errsink"
 	"hybriddtm/internal/analysis/floatzone"
+	"hybriddtm/internal/analysis/lockcheck"
 )
 
 var analyzers = []*analysis.Analyzer{
 	errsink.Analyzer,
 	floatzone.Analyzer,
+	lockcheck.Analyzer,
 }
 
 func main() {

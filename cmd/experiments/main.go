@@ -25,7 +25,10 @@
 // Observability: progress (N/M jobs with ETA) goes to stderr at Info
 // level; -v adds a Debug line per simulation, -quiet silences both. A
 // metrics summary (runs, thermal steps, DVS switches, trigger residency,
-// job latency, cache hits) is printed to stderr at exit.
+// job latency, cache hits) is printed to stderr at exit; -metrics-addr
+// serves the same registry over HTTP while the sweep runs, as text at
+// /metrics and Prometheus at /metrics.prom (shut down gracefully on exit
+// or Ctrl-C).
 // -cpuprofile/-memprofile/-runtime-metrics capture profiles. -out writes
 // machine-readable figure results for dtmreport, -snapshot-out records a
 // BENCH_<sha>.json performance snapshot, -stage-profile writes per-stage
@@ -74,6 +77,7 @@ func run(ctx context.Context) error {
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = one per CPU)")
 	verbose := flag.Bool("v", false, "debug logging: one line per completed simulation")
 	quiet := flag.Bool("quiet", false, "suppress progress logging and the metrics summary")
+	metricsAddr := flag.String("metrics-addr", "", "serve live metrics over HTTP on this address (e.g. localhost:9090, or :0 for an ephemeral port)")
 	cacheDir := flag.String("cache", "", "result cache directory: reuse the results of earlier runs of the same simulations")
 	out := flag.String("out", "", "write machine-readable figure results JSON to this file (input for dtmreport)")
 	snapshotOut := flag.String("snapshot-out", "", "write a BENCH_<sha>.json perf snapshot into this directory (or to this exact path when it ends in .json)")
@@ -127,6 +131,14 @@ func run(ctx context.Context) error {
 	}
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
+	if *metricsAddr != "" {
+		addr, stopServe, err := obs.Serve(ctx, *metricsAddr, reg)
+		if err != nil {
+			return err
+		}
+		defer stopServe() //nolint:errcheck // best-effort shutdown
+		fmt.Fprintf(os.Stderr, "metrics: http://%s/metrics\n", addr)
+	}
 
 	r, err := experiments.NewRunner(opts)
 	if err != nil {

@@ -8,12 +8,18 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"net"
+	"net/http"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Counter is a monotonically increasing integer metric.
@@ -86,6 +92,18 @@ func DefaultLatencyBuckets() []float64 {
 	for i := range bounds {
 		bounds[i] = b
 		b *= 2
+	}
+	return bounds
+}
+
+// DefaultSizeBuckets spans 64 B .. 1 GiB in ×4 steps — the boundaries for
+// response-size style histograms.
+func DefaultSizeBuckets() []float64 {
+	bounds := make([]float64, 13)
+	b := 64.0
+	for i := range bounds {
+		bounds[i] = b
+		b *= 4
 	}
 	return bounds
 }
@@ -205,6 +223,15 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return lookup(r, name, func() *Histogram { return newHistogram(DefaultLatencyBuckets()) })
 }
 
+// HistogramWith returns the named histogram, creating it on first use
+// with the given fixed upper bounds (ascending). Boundaries are fixed at
+// registration: a later caller asking for the same name gets the existing
+// histogram whatever bounds it passes, so every accessor of a shared
+// metric sees one consistent bucket layout.
+func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
+	return lookup(r, name, func() *Histogram { return newHistogram(bounds) })
+}
+
 // Sample is one metric's point-in-time reading.
 type Sample struct {
 	Name  string
@@ -213,7 +240,7 @@ type Sample struct {
 	// Histogram extras (zero otherwise; the quantiles are NaN with no
 	// observations — callers rendering for humans should say "no data
 	// yet" rather than print them).
-	Mean, P50, P90, P99, Max float64
+	Sum, Mean, P50, P90, P99, Max float64
 }
 
 // Snapshot returns all metrics sorted by name.
@@ -232,7 +259,7 @@ func (r *Registry) Snapshot() []Sample {
 			s.Kind, s.Value = "gauge", v.Value()
 		case *Histogram:
 			s.Kind, s.Value = "histogram", float64(v.Count())
-			s.Mean = v.Mean()
+			s.Sum, s.Mean = v.Sum(), v.Mean()
 			s.P50, s.P90, s.P99 = v.Quantile(0.50), v.Quantile(0.90), v.Quantile(0.99)
 			s.Max = v.Max()
 		}
@@ -265,6 +292,128 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// promName rewrites a metric name into the Prometheus exposition
+// alphabet [a-zA-Z0-9_:] (dots become underscores, anything else exotic
+// likewise; a leading digit gains an underscore prefix; the empty name
+// becomes "_" so the sample line still parses).
+func promName(name string) string {
+	if name == "" {
+		return "_"
+	}
+	var b strings.Builder
+	if name[0] >= '0' && name[0] <= '9' {
+		b.WriteByte('_')
+	}
+	for _, c := range name {
+		valid := c == '_' || c == ':' ||
+			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(c >= '0' && c <= '9')
+		if valid {
+			b.WriteRune(c)
+		} else {
+			b.WriteByte('_')
+		}
+	}
+	return b.String()
+}
+
+// promFloat formats a sample value for the exposition format. NaN (empty
+// histogram quantiles) and ±Inf are legal Prometheus values.
+func promFloat(v float64) string {
+	switch {
+	case math.IsNaN(v):
+		return "NaN"
+	case math.IsInf(v, 1):
+		return "+Inf"
+	case math.IsInf(v, -1):
+		return "-Inf"
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
+}
+
+// WritePrometheus writes the registry in the Prometheus text exposition
+// format (version 0.0.4). Counters and float counters export as
+// `counter`, gauges as `gauge`, and histograms as `summary` documents
+// carrying the p50/p90/p99 quantiles the table view shows plus the exact
+// _sum and _count — quantiles of an empty histogram export as NaN, the
+// format's "no data" value. Metric names have their dots rewritten to
+// underscores (serve.job_s → serve_job_s).
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	for _, s := range r.Snapshot() {
+		name := promName(s.Name)
+		var err error
+		switch s.Kind {
+		case "counter", "float":
+			_, err = fmt.Fprintf(w, "# TYPE %s counter\n%s %s\n", name, name, promFloat(s.Value))
+		case "gauge":
+			_, err = fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", name, name, promFloat(s.Value))
+		case "histogram":
+			_, err = fmt.Fprintf(w, "# TYPE %s summary\n%s{quantile=\"0.5\"} %s\n%s{quantile=\"0.9\"} %s\n%s{quantile=\"0.99\"} %s\n%s_sum %s\n%s_count %s\n",
+				name,
+				name, promFloat(s.P50),
+				name, promFloat(s.P90),
+				name, promFloat(s.P99),
+				name, promFloat(s.Sum),
+				name, promFloat(s.Value))
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Handler returns an HTTP handler exposing the registry: a plain-text
+// summary at "/" and "/metrics", and the Prometheus text exposition at
+// "/metrics.prom". Any other path is 404.
+func (r *Registry) Handler() http.Handler {
+	mux := http.NewServeMux()
+	text := func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		r.WriteSummary(w) //dtmlint:allow errsink HTTP response write; delivery failures surface to the client, not the run
+	}
+	mux.HandleFunc("/{$}", text)
+	mux.HandleFunc("/metrics", text)
+	mux.HandleFunc("/metrics.prom", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		r.WritePrometheus(w) //dtmlint:allow errsink HTTP response write; delivery failures surface to the client, not the run
+	})
+	return mux
+}
+
+// Serve exposes the registry over HTTP on addr (e.g. "localhost:9090", or
+// ":0" for an ephemeral port — the returned address is the actually-bound
+// one, so callers can print a working URL either way). The server shuts
+// down gracefully when ctx is canceled (in-flight requests finish, new
+// connections are refused) or when the returned stop function is called,
+// whichever comes first; stop is idempotent and reports the shutdown
+// error, if any. Serve errors after shutdown are discarded.
+func Serve(ctx context.Context, addr string, r *Registry) (string, func() error, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: r.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	go srv.Serve(ln) //nolint:errcheck // always returns ErrServerClosed after stop
+	var once sync.Once
+	var stopErr error
+	stop := func() error {
+		once.Do(func() {
+			sctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(sctx); err != nil {
+				srv.Close() //nolint:errcheck // Shutdown error is the one reported
+				stopErr = err
+			}
+		})
+		return stopErr
+	}
+	if ctx != nil {
+		context.AfterFunc(ctx, func() { stop() }) //nolint:errcheck // nowhere to report; server is down either way
+	}
+	return ln.Addr().String(), stop, nil
 }
 
 // Metric names recorded by MetricsTracer and the experiment pool. Keeping

@@ -2,14 +2,19 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"math"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCounterAndFloatCounter(t *testing.T) {
@@ -97,7 +102,7 @@ func TestSnapshotSorted(t *testing.T) {
 	if snap[0].Kind != "counter" || snap[0].Value != 3 {
 		t.Errorf("counter sample = %+v", snap[0])
 	}
-	if snap[2].Kind != "histogram" || snap[2].Value != 1 || snap[2].Mean != 0.002 {
+	if snap[2].Kind != "histogram" || snap[2].Value != 1 || snap[2].Sum != 0.002 {
 		t.Errorf("histogram sample = %+v", snap[2])
 	}
 
@@ -191,6 +196,99 @@ func TestMetricsTracerFoldsEvents(t *testing.T) {
 	}
 }
 
+func TestServeEndpoints(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter(MetricRuns).Add(7)
+	addr, stop, err := Serve(nil, "127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	if body := get("/metrics"); !strings.Contains(body, MetricRuns) {
+		t.Errorf("/metrics missing %s:\n%s", MetricRuns, body)
+	}
+	if got := parsePrometheus(t, get("/metrics.prom"))[promName(MetricRuns)]; got != 7 {
+		t.Errorf("/metrics.prom %s = %v, want 7", MetricRuns, got)
+	}
+	// Other paths, such as the deleted JSON map, are not the summary.
+	resp, err := http.Get("http://" + addr + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics.json: status %d, want 404", resp.StatusCode)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("stop: %v", err)
+	}
+}
+
+// TestServeGracefulShutdown: the server answers while the context lives,
+// refuses connections after cancellation, and stop stays idempotent.
+func TestServeGracefulShutdown(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter(MetricRuns).Inc()
+	ctx, cancel := context.WithCancel(context.Background())
+	addr, stop, err := Serve(ctx, "127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := net.SplitHostPort(addr); err != nil {
+		t.Fatalf("Serve returned unusable address %q: %v", addr, err)
+	}
+
+	resp, err := http.Get("http://" + addr + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("/metrics.prom: %v", err)
+	}
+	if got := parsePrometheus(t, string(body))[promName(MetricRuns)]; got != 1 {
+		t.Errorf("%s = %v, want 1", MetricRuns, got)
+	}
+
+	cancel()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, err := http.Get("http://" + addr + "/metrics.prom")
+		if err != nil {
+			break // listener is down
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("server still accepting requests after context cancellation")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("stop after ctx shutdown: %v", err)
+	}
+	if err := stop(); err != nil {
+		t.Errorf("second stop: %v", err)
+	}
+}
+
 func TestProfileFlags(t *testing.T) {
 	dir := t.TempDir()
 	var p ProfileFlags
@@ -246,26 +344,5 @@ func TestWriteRuntimeSnapshotFormat(t *testing.T) {
 		if _, err := fmt.Sscanf(line, "runtime %s %g", &name, &value); err != nil {
 			t.Errorf("malformed snapshot line %q: %v", line, err)
 		}
-	}
-}
-
-func TestWriteSummaryNoData(t *testing.T) {
-	r := NewRegistry()
-	r.Histogram("pool.job_s")
-	var buf bytes.Buffer
-	if err := r.WriteSummary(&buf); err != nil {
-		t.Fatalf("WriteSummary: %v", err)
-	}
-	if !strings.Contains(buf.String(), "no data yet") {
-		t.Errorf("empty histogram summary should say \"no data yet\", got:\n%s", buf.String())
-	}
-	r.Histogram("pool.job_s").Observe(0.004)
-	buf.Reset()
-	if err := r.WriteSummary(&buf); err != nil {
-		t.Fatalf("WriteSummary: %v", err)
-	}
-	out := buf.String()
-	if strings.Contains(out, "no data yet") || !strings.Contains(out, "p99") {
-		t.Errorf("non-empty histogram summary should show quantiles, got:\n%s", out)
 	}
 }

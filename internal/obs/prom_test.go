@@ -213,17 +213,17 @@ func TestPromNameSanitizes(t *testing.T) {
 // FuzzPromExposition: whatever the registry is asked to hold — including
 // names outside the Prometheus alphabet, leading digits, or nothing at
 // all — WritePrometheus must emit text the 0.0.4 grammar accepts. The
-// seeds are the registry names the real services publish plus the known
-// promName edge cases.
+// seeds are registry names the simulator and the experiment pool publish
+// plus the known promName edge cases.
 func FuzzPromExposition(f *testing.F) {
 	for _, seed := range []string{
-		MetricServeJobs,
-		MetricServeQueueDepth,
-		MetricServeJobSeconds,
-		MetricServeQueueWait,
-		MetricServeRunSecs,
-		MetricServeTraceTTFB,
-		MetricServeRespBytes,
+		MetricRuns,
+		MetricInstructions,
+		MetricStallSeconds,
+		MetricPoolJobs,
+		MetricPoolActive,
+		MetricPoolCoreSteps,
+		MetricPoolCacheHits,
 		MetricTriggerSeconds,
 		MetricPoolJobSeconds,
 		MetricStagePrefix + "thermal.step_frac",

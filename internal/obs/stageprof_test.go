@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -78,10 +79,17 @@ func TestStageProfilerPublish(t *testing.T) {
 	if got := reg.Gauge(StageMetricFrac("thermal.step")).Value(); got != 1 {
 		t.Errorf("sim.stage.thermal.step_frac = %v, want 1", got)
 	}
-	// Every stage publishes both gauges.
+	// Every stage publishes both gauges, and the exposition stays valid.
 	snap := reg.Snapshot()
 	if want := 2 * int(numStages); len(snap) != want {
 		t.Errorf("published %d metrics, want %d", len(snap), want)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "sim_stage_thermal_step_frac 1") {
+		t.Errorf("exposition lacks stage gauge:\n%s", b.String())
 	}
 }
 
